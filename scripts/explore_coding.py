@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-from hfinterp.core import decode, format_set, rank
+from hfinterp.core import decode, format_set
 from hfinterp.formulas import show_arith, show_set
 from hfinterp.interp import get_map
 from hfinterp.parser import parse_arith, parse_set
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{'code':>6}  {'rank':>4}  set")
     for n in range(args.count):
         x = decode(n)
-        print(f"{n:>6}  {rank(x):>4}  {format_set(x)}")
+        print(f"{n:>6}  {x.rank:>4}  {format_set(x)}")
 
     print("\nnumber talk rendered as set talk (map d):")
     d = get_map("d")

@@ -23,7 +23,6 @@ from .core import (
     DEFAULT_ENUM_BUDGET,
     HFSet,
     decode,
-    empty,
     encode,
     from_children,
 )
@@ -31,10 +30,8 @@ from .errors import BudgetExceeded
 from .order import (
     MAX_MATERIALIZED_LEVEL,
     ack_enum_iter,
-    ack_less,
     ack_order,
     position,
-    successor_a,
 )
 
 LITERAL = "literal"
@@ -44,21 +41,6 @@ DEFAULT_LITERAL_CUTOFF = 64
 # function spaces up to this many graphs are materialized in literal mode;
 # larger ones are counted by enumeration without building the graphs
 _EXP_MATERIALIZE_CAP = 4096
-
-
-def zero_a() -> HFSet:
-    """The ordering's least element: the empty set."""
-    return empty()
-
-
-def succ_a(x: HFSet) -> HFSet:
-    """Next set in the ordering (single honest route; see order module)."""
-    return successor_a(x)
-
-
-def less_a(x: HFSet, y: HFSet) -> bool:
-    """Order comparison; same in both modes."""
-    return ack_less(x, y)
 
 
 def _segment_field(x: HFSet, literal_cutoff: int) -> HFSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from datetime import datetime, timezone
 
 from .arith import FAST, LITERAL
@@ -208,8 +209,10 @@ def _human_report(rep: Report) -> str:
 
 def _cmd_verify(args) -> int:
     ctx = _context(args)
+    t0 = time.perf_counter()
     reports = run_suite(args.suite, ctx, max_code=args.max_code,
                         corpus=args.corpus)
+    elapsed = time.perf_counter() - t0
     status = max(r.exit_status for r in reports)
     if args.fmt == "json":
         payload: dict = {"reports": [r.as_dict() for r in reports],
@@ -222,7 +225,8 @@ def _cmd_verify(args) -> int:
             print(_human_report(rep))
         print(f"exit: {status}")
         if not args.no_timestamp:
-            print(f"finished: {datetime.now(timezone.utc).isoformat()}")
+            print(f"finished: {datetime.now(timezone.utc).isoformat()} "
+                  f"(elapsed {elapsed:.1f} s)")
     return status
 
 

@@ -11,7 +11,6 @@ perfectly small DAG whose code would need astronomically many bits).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator
 
@@ -251,11 +250,6 @@ def separate(y: HFSet, pred: "Callable[[HFSet], bool]") -> HFSet:
     return _intern_sorted(tuple(c for c in y.children if pred(c)))
 
 
-def rank(x: HFSet) -> int:
-    """0 for the empty set, else 1 + max rank of the members."""
-    return x.rank
-
-
 def tower(k: int) -> int:
     """Iterated exponential: tower(0) = 1, tower(k+1) = 2^tower(k)."""
     n = 1
@@ -286,21 +280,6 @@ def materialize_level(m: int, enum_budget: "int | None" = None) -> HFSet:
             v = powerset(v, enum_budget)
         _LEVELS[m] = v
     return _LEVELS[m]
-
-
-@dataclass(frozen=True)
-class LevelRef:
-    """Symbolic reference to a cumulative level V_index."""
-
-    index: int
-
-    def materialize(self, enum_budget: "int | None" = None) -> HFSet:
-        return materialize_level(self.index, enum_budget)
-
-
-def level_of(x: HFSet) -> LevelRef:
-    """The least level containing x as a member: V_{rank(x)+1}."""
-    return LevelRef(x.rank + 1)
 
 
 def is_level(s: HFSet) -> bool:

@@ -14,33 +14,57 @@ operations.
 Both languages share the connectives and bounded quantifiers.  Nodes are
 frozen dataclasses, so formulas hash and compare structurally; printing
 is canonical (minimal parentheses) and is inverted by the parser.
+
+Every node class carries one child protocol: `child_fields` names the
+fields holding subtrees (a single node, a tuple of nodes, or an absent
+bound), and `binder` marks the classes whose `var` is bound in their
+`body`.  `free_vars`, `substitute`, `is_bounded`, `children` and
+`rebuild` are written once over it.  The walkers loop over the field
+names inline, so they take one Python frame per tree level.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
-class ArithTerm:
+class _Node:
+    """Derives the child protocol of each node class from its fields."""
+
+    __slots__ = ()
+    child_fields: "tuple[str, ...]"
+    binder: bool
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        # names, numbers, operator symbols and bound kinds are the only
+        # fields that hold no subtree
+        cls.child_fields = tuple(name for name, kind in own.items()
+                                 if kind not in ("str", "int"))
+        cls.binder = "var" in own
+
+
+class ArithTerm(_Node):
     """Base class for arithmetic terms."""
 
     __slots__ = ()
 
 
-class ArithFormula:
+class ArithFormula(_Node):
     """Base class for arithmetic formulas."""
 
     __slots__ = ()
 
 
-class SetTerm:
+class SetTerm(_Node):
     """Base class for set terms."""
 
     __slots__ = ()
 
 
-class SetFormula:
+class SetFormula(_Node):
     """Base class for set formulas."""
 
     __slots__ = ()
@@ -305,43 +329,75 @@ def _check_bound_kind(q) -> None:
         object.__setattr__(q, "bound_kind", BOUND_MEMBER)
 
 
-Node = "ArithTerm | ArithFormula | SetTerm | SetFormula"
+# connective precedence:  !  >  &  >  |  >  ->   (-> associates right);
+# a quantifier body extends as far right as possible.
+_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 10, 20, 30, 40
+
+#: each connective and quantifier class and its counterpart in the other
+#: language, both ways
+TWIN = {}
+#: spelling and precedence of each connective and quantifier class
+_SYNTAX = {}
+for _a, _s, _word, _prec in (
+        (ANot, SNot, "!", _PREC_NOT), (AAnd, SAnd, "&", _PREC_AND),
+        (AOr, SOr, "|", _PREC_OR), (AImplies, SImplies, "->", _PREC_IMPLIES),
+        (AForall, SForall, "forall", 0), (AExists, SExists, "exists", 0)):
+    TWIN[_a], TWIN[_s] = _s, _a
+    _SYNTAX[_a] = _SYNTAX[_s] = (_word, _prec)
 
 
 # ---------------------------------------------------------------------------
-# free variables, substitution, boundedness
+# the child protocol: subtrees, rebuilding, free variables, substitution,
+# boundedness
 # ---------------------------------------------------------------------------
+
+def children(node) -> tuple:
+    """The subtrees of a node in field order, tuples flattened and an
+    absent bound left out."""
+    out = []
+    for name in type(node).child_fields:
+        child = getattr(node, name)
+        if type(child) is tuple:
+            out.extend(child)
+        elif child is not None:
+            out.append(child)
+    return tuple(out)
+
+
+def rebuild(node, kids):
+    """A node like `node` whose subtrees are `kids`, in the order
+    `children` lists them."""
+    kids = iter(kids)
+    changes = {}
+    for name in type(node).child_fields:
+        child = getattr(node, name)
+        if type(child) is tuple:
+            changes[name] = tuple(next(kids) for _ in child)
+        elif child is not None:
+            changes[name] = next(kids)
+    return replace(node, **changes) if changes else node
+
+
+_NO_VARS: "frozenset[str]" = frozenset()
+
 
 def free_vars(node) -> "frozenset[str]":
     """Free variable names of a term or formula (either language)."""
-    if isinstance(node, (AVar, SVar)):
+    cls = type(node)
+    if cls is AVar or cls is SVar:
         return frozenset((node.name,))
-    if isinstance(node, (ALit, SLit, SEmpty)):
-        return frozenset()
-    if isinstance(node, (AOp, SOp, ARel, SRel)):
-        out = frozenset()
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, SEnum):
-        out = frozenset()
-        for a in node.elems:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, (ANot, SNot)):
-        return free_vars(node.body)
-    if isinstance(node, (AAnd, AOr, AImplies, SAnd, SOr, SImplies)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (AForall, AExists, SForall, SExists)):
-        out = free_vars(node.body) - {node.var}
-        if node.bound is not None:
-            out |= free_vars(node.bound)
-        return out
-    if isinstance(node, ASep):
-        return (free_vars(node.body) - {node.var}) | free_vars(node.bound)
-    if isinstance(node, SSep):
-        return (free_vars(node.body) - {node.var}) | free_vars(node.dom)
-    raise TypeError(f"not a formula or term: {node!r}")
+    out = _NO_VARS
+    for name in cls.child_fields:
+        child = getattr(node, name)
+        if type(child) is tuple:
+            for c in child:
+                out = out | free_vars(c)
+        elif child is not None:
+            inner = free_vars(child)
+            if cls.binder and name == "body":
+                inner = inner - {node.var}
+            out = out | inner if out else inner
+    return out
 
 
 def fresh_var(base: str, avoid: "frozenset[str] | set[str]") -> str:
@@ -356,23 +412,14 @@ def fresh_var(base: str, avoid: "frozenset[str] | set[str]") -> str:
     raise AssertionError("unreachable")
 
 
-def _subst_binder(node, mapping, rebuild):
-    """Shared capture-avoiding treatment of var-binding nodes."""
-    mapping = {k: v for k, v in mapping.items() if k != node.var}
-    if not mapping:
-        return rebuild(node.var, node.body)
-    var = node.var
-    clash = any(var in free_vars(t) for t in mapping.values())
-    body = node.body
-    if clash:
-        avoid = set(free_vars(body))
-        for t in mapping.values():
-            avoid |= free_vars(t)
-        var = fresh_var(node.var, avoid)
-        ref = AVar(var) if isinstance(body, (ArithFormula, ArithTerm)) \
-            else SVar(var)
-        body = substitute(body, {node.var: ref})
-    return rebuild(var, substitute(body, mapping))
+def rename_bound(node, avoid):
+    """The binder `node` with its variable renamed to a fresh name outside
+    `avoid`, in its body as well."""
+    var = fresh_var(node.var, avoid)
+    ref = AVar(var) if isinstance(node, (ArithFormula, ArithTerm)) \
+        else SVar(var)
+    return replace(node, var=var,
+                   body=substitute(node.body, {node.var: ref}))
 
 
 def substitute(node, mapping: dict):
@@ -382,74 +429,53 @@ def substitute(node, mapping: dict):
     """
     if not mapping:
         return node
-    if isinstance(node, (AVar, SVar)):
+    cls = type(node)
+    if cls is AVar or cls is SVar:
         return mapping.get(node.name, node)
-    if isinstance(node, (ALit, SLit, SEmpty)):
-        return node
-    if isinstance(node, AOp):
-        return AOp(node.op, tuple(substitute(a, mapping) for a in node.args))
-    if isinstance(node, SOp):
-        return SOp(node.op, tuple(substitute(a, mapping) for a in node.args))
-    if isinstance(node, ARel):
-        return ARel(node.op, tuple(substitute(a, mapping) for a in node.args))
-    if isinstance(node, SRel):
-        return SRel(node.op, tuple(substitute(a, mapping) for a in node.args))
-    if isinstance(node, SEnum):
-        return SEnum(tuple(substitute(a, mapping) for a in node.elems))
-    if isinstance(node, (ANot, SNot)):
-        return type(node)(substitute(node.body, mapping))
-    if isinstance(node, (AAnd, AOr, AImplies, SAnd, SOr, SImplies)):
-        return type(node)(substitute(node.left, mapping),
-                          substitute(node.right, mapping))
-    if isinstance(node, (AForall, AExists)):
-        bound = None if node.bound is None else substitute(node.bound, mapping)
-        return _subst_binder(
-            node, mapping, lambda v, b: type(node)(v, bound, b))
-    if isinstance(node, (SForall, SExists)):
-        bound = None if node.bound is None else substitute(node.bound, mapping)
-        return _subst_binder(
-            node, mapping,
-            lambda v, b: type(node)(v, bound, b, node.bound_kind))
-    if isinstance(node, ASep):
-        bound = substitute(node.bound, mapping)
-        return _subst_binder(node, mapping, lambda v, b: ASep(v, bound, b))
-    if isinstance(node, SSep):
-        dom = substitute(node.dom, mapping)
-        return _subst_binder(node, mapping, lambda v, b: SSep(v, dom, b))
-    raise TypeError(f"not a formula or term: {node!r}")
+    scoped = mapping
+    if cls.binder:
+        scoped = {k: v for k, v in mapping.items() if k != node.var}
+        if any(node.var in free_vars(t) for t in scoped.values()):
+            avoid = set(free_vars(node.body))
+            for t in scoped.values():
+                avoid |= free_vars(t)
+            node = rename_bound(node, avoid)
+    kids = []
+    for name in cls.child_fields:
+        child = getattr(node, name)
+        if type(child) is tuple:
+            for c in child:
+                kids.append(substitute(c, mapping))
+        elif child is not None:
+            kids.append(substitute(child,
+                                   scoped if name == "body" else mapping))
+    return rebuild(node, kids)
 
 
 def is_bounded(node) -> bool:
     """True when every quantifier in the formula carries a bound."""
-    if isinstance(node, (AVar, SVar, ALit, SLit, SEmpty)):
-        return True
-    if isinstance(node, (AOp, SOp, ARel, SRel)):
-        return all(is_bounded(a) for a in node.args)
-    if isinstance(node, SEnum):
-        return all(is_bounded(a) for a in node.elems)
-    if isinstance(node, (ANot, SNot)):
-        return is_bounded(node.body)
-    if isinstance(node, (AAnd, AOr, AImplies, SAnd, SOr, SImplies)):
-        return is_bounded(node.left) and is_bounded(node.right)
-    if isinstance(node, (AForall, AExists, SForall, SExists)):
-        if node.bound is None:
+    for name in type(node).child_fields:
+        child = getattr(node, name)
+        if child is None:
             return False
-        return is_bounded(node.bound) and is_bounded(node.body)
-    if isinstance(node, ASep):
-        return is_bounded(node.bound) and is_bounded(node.body)
-    if isinstance(node, SSep):
-        return is_bounded(node.dom) and is_bounded(node.body)
-    raise TypeError(f"not a formula or term: {node!r}")
+        if type(child) is tuple:
+            for c in child:
+                if not is_bounded(c):
+                    return False
+        elif not is_bounded(child):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
-# connective precedence:  !  >  &  >  |  >  ->   (-> associates right);
-# a quantifier body extends as far right as possible.
 
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 10, 20, 30, 40
-_PREC_ADD, _PREC_MUL, _PREC_ATOM = 1, 2, 3
+_PREC_ADD, _PREC_MUL = 1, 2
+
+#: what separates a quantified variable from its bound, by bound kind
+#: (arithmetic quantifiers have none)
+_BOUND_WORD = {None: "<", BOUND_MEMBER: "in", BOUND_ORDER: "<a"}
 
 #: infix spellings for set operations printed as s OP t
 _SET_INFIX = {"oadd": ("+a", _PREC_ADD), "omul": ("*a", _PREC_MUL),
@@ -483,31 +509,6 @@ def show_arith_term(t: ArithTerm, context: int = 0) -> str:
     raise TypeError(f"not an arithmetic term: {t!r}")
 
 
-def show_arith(f: ArithFormula, context: int = 0) -> str:
-    if isinstance(f, ARel):
-        if f.op in ("=", "<"):
-            return (f"{show_arith_term(f.args[0])} {f.op} "
-                    f"{show_arith_term(f.args[1])}")
-        args = ", ".join(show_arith_term(a) for a in f.args)
-        return f"{f.op}({args})"
-    if isinstance(f, ANot):
-        return f"!{show_arith(f.body, _PREC_NOT)}"
-    if isinstance(f, (AAnd, AOr, AImplies)):
-        op, mine = {AAnd: ("&", _PREC_AND), AOr: ("|", _PREC_OR),
-                    AImplies: ("->", _PREC_IMPLIES)}[type(f)]
-        lctx = mine + 1 if isinstance(f, AImplies) else mine
-        rctx = mine if isinstance(f, AImplies) else mine + 1
-        text = f"{show_arith(f.left, lctx)} {op} {show_arith(f.right, rctx)}"
-        return _paren(text, mine, context)
-    if isinstance(f, (AForall, AExists)):
-        word = "forall" if isinstance(f, AForall) else "exists"
-        head = f"{word} {f.var}"
-        if f.bound is not None:
-            head += f" < {show_arith_term(f.bound)}"
-        return _paren(f"{head}. {show_arith(f.body)}", 0, context)
-    raise TypeError(f"not an arithmetic formula: {f!r}")
-
-
 def show_set_term(t: SetTerm, context: int = 0) -> str:
     if isinstance(t, SVar):
         return t.name
@@ -530,27 +531,33 @@ def show_set_term(t: SetTerm, context: int = 0) -> str:
     raise TypeError(f"not a set term: {t!r}")
 
 
-def show_set(f: SetFormula, context: int = 0) -> str:
-    if isinstance(f, SRel):
-        if SET_RELS[f.op] == 2:
-            return (f"{show_set_term(f.args[0])} {f.op} "
-                    f"{show_set_term(f.args[1])}")
-        args = ", ".join(show_set_term(a) for a in f.args)
-        return f"{f.op}({args})"
-    if isinstance(f, SNot):
-        return f"!{show_set(f.body, _PREC_NOT)}"
-    if isinstance(f, (SAnd, SOr, SImplies)):
-        op, mine = {SAnd: ("&", _PREC_AND), SOr: ("|", _PREC_OR),
-                    SImplies: ("->", _PREC_IMPLIES)}[type(f)]
-        lctx = mine + 1 if isinstance(f, SImplies) else mine
-        rctx = mine if isinstance(f, SImplies) else mine + 1
-        text = f"{show_set(f.left, lctx)} {op} {show_set(f.right, rctx)}"
-        return _paren(text, mine, context)
-    if isinstance(f, (SForall, SExists)):
-        word = "forall" if isinstance(f, SForall) else "exists"
-        head = f"{word} {f.var}"
+def _show(f, context: int, term) -> str:
+    """Print a formula of either language; `term` prints its terms."""
+    cls = type(f)
+    if cls.binder:
+        head = f"{_SYNTAX[cls][0]} {f.var}"
         if f.bound is not None:
-            sep = "in" if f.bound_kind == BOUND_MEMBER else "<a"
-            head += f" {sep} {show_set_term(f.bound)}"
-        return _paren(f"{head}. {show_set(f.body)}", 0, context)
-    raise TypeError(f"not a set formula: {f!r}")
+            word = _BOUND_WORD[getattr(f, "bound_kind", None)]
+            head += f" {word} {term(f.bound)}"
+        return _paren(f"{head}. {_show(f.body, 0, term)}", 0, context)
+    if cls in _SYNTAX:
+        sym, mine = _SYNTAX[cls]
+        if mine == _PREC_NOT:
+            return f"{sym}{_show(f.body, mine, term)}"
+        # -> associates right, & and | left
+        right_assoc = mine == _PREC_IMPLIES
+        left = _show(f.left, mine + 1 if right_assoc else mine, term)
+        right = _show(f.right, mine if right_assoc else mine + 1, term)
+        return _paren(f"{left} {sym} {right}", mine, context)
+    args = [term(a) for a in f.args]
+    if len(args) == 2:
+        return f"{args[0]} {f.op} {args[1]}"
+    return f"{f.op}({', '.join(args)})"
+
+
+def show_arith(f: ArithFormula, context: int = 0) -> str:
+    return _show(f, context, show_arith_term)
+
+
+def show_set(f: SetFormula, context: int = 0) -> str:
+    return _show(f, context, show_set_term)

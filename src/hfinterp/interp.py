@@ -25,6 +25,10 @@
   order-bounded, and each code operation becomes the set constructor it
   codes.  Total on the arithmetic language.
 
+Every map carries each connective to its counterpart in the other
+language (`formulas.TWIN`), so each map below states only what it does to
+atoms, terms and quantifiers.
+
 `compose(outer, inner)` chains two maps when inner's target language is
 outer's source language; `get_map` resolves names like "a" or "da"
 (rightmost applied first).
@@ -33,6 +37,7 @@ outer's source language; `get_map` resolves names like "a" or "da"
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import LanguageMismatch
@@ -44,7 +49,6 @@ from .formulas import (
     AImplies,
     ANot,
     AOp,
-    AOr,
     ARel,
     ASep,
     AVar,
@@ -59,20 +63,89 @@ from .formulas import (
     SForall,
     SImplies,
     SLit,
-    SNot,
     SOp,
-    SOr,
     SRel,
     SSep,
     SVar,
     SetFormula,
     SetTerm,
+    TWIN,
     free_vars,
     fresh_var,
-    substitute,
+    rename_bound,
 )
 
 ARITH, SET = "arith", "set"
+
+
+# ---------------------------------------------------------------------------
+# what every map shares
+# ---------------------------------------------------------------------------
+
+def _homomorphism(source: type, atom, quantifier):
+    """The formula map that sends each connective to its counterpart and
+    leaves atoms and quantifiers to the map's own rules.
+
+    `quantifier(q)` returns the quantifier whose body is translated (q, or
+    q with its variable renamed) and a function building the image from
+    the translated body.  All recursion happens here, one frame per
+    level."""
+    what = "a set" if source is SetFormula else "an arithmetic"
+
+    def translate(f):
+        if not isinstance(f, source):
+            raise LanguageMismatch(f"not {what} formula: {f!r}")
+        cls = type(f)
+        if cls.binder:
+            q, build = quantifier(f)
+            return build(translate(q.body))
+        if cls in TWIN:
+            parts = []
+            for name in cls.child_fields:
+                parts.append(translate(getattr(f, name)))
+            return TWIN[cls](*parts)
+        return atom(f)
+
+    return translate
+
+
+#: the connective joining a relativized quantifier's guard to its body
+_GUARD_JOIN = {AForall: AImplies, AExists: AAnd,
+               SForall: SImplies, SExists: SAnd}
+
+
+def _guarded(quant: type, var: str, bound, guard, body):
+    """forall var. guard -> body, or exists var. guard & body."""
+    return quant(var, bound, _GUARD_JOIN[quant](guard, body))
+
+
+def _apart(q, avoid=frozenset()):
+    """Quantifier `q` with its variable renamed when its bound mentions
+    it, for maps that repeat the bound inside the quantifier's scope."""
+    if q.var not in free_vars(q.bound):
+        return q
+    return rename_bound(q, free_vars(q.body) | free_vars(q.bound) | avoid)
+
+
+def _vn_literal(n: int) -> SetTerm:
+    """The von Neumann ordinal n: vns applied n times to the empty set."""
+    out: SetTerm = SEmpty()
+    for _ in range(n):
+        out = SOp("vns", (out,))
+    return out
+
+
+#: d: each arithmetic operation and the set operation it becomes
+_D_OPS = {"S": "osucc", "+": "oadd", "*": "omul", "exp": "oexp",
+          "pow": "pset", "sumc": "sum", "pairc": "pair", "rankc": "rank",
+          "cardc": "cardof", "vnsc": "vns", "ordaddc": "vadd",
+          "ordmulc": "vmul", "ordexpc": "vexp", "caddc": "cadd",
+          "cmulc": "cmul", "cexpc": "cexp"}
+#: d: each arithmetic relation and the set relation it becomes
+_D_RELS = {"=": "=", "<": "<a", "Dom": "Dom", "OrdCode": "isord"}
+#: a inverts d's tables, except that it sends osucc to + 1
+_A_OPS = {s: a for a, s in _D_OPS.items() if s != "osucc"}
+_A_RELS = {s: a for a, s in _D_RELS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +165,6 @@ def _bit_formula(s: ArithTerm, t: ArithTerm) -> ArithFormula:
     return AExists(n, t, AExists(m, low, ARel("=", (t, value))))
 
 
-_A_OPS = {"pair": "pairc", "pset": "pow", "sum": "sumc", "rank": "rankc",
-          "vns": "vnsc", "cadd": "caddc", "cmul": "cmulc", "cexp": "cexpc",
-          "cardof": "cardc", "vadd": "ordaddc", "vmul": "ordmulc",
-          "vexp": "ordexpc"}
-_A_ORDER_OPS = {"oadd": "+", "omul": "*", "oexp": "exp"}
-
-
 def translate_a_term(t: SetTerm) -> ArithTerm:
     if isinstance(t, SVar):
         return AVar(t.name)
@@ -113,12 +179,10 @@ def translate_a_term(t: SetTerm) -> ArithTerm:
     if isinstance(t, SSep):
         return ASep(t.var, translate_a_term(t.dom), translate_a(t.body))
     if isinstance(t, SOp):
+        args = tuple(translate_a_term(a) for a in t.args)
         if t.op == "osucc":
-            return AOp("+", (translate_a_term(t.args[0]), ALit(1)))
-        if t.op in _A_ORDER_OPS:
-            return AOp(_A_ORDER_OPS[t.op],
-                       tuple(translate_a_term(a) for a in t.args))
-        return AOp(_A_OPS[t.op], tuple(translate_a_term(a) for a in t.args))
+            return AOp("+", (args[0], ALit(1)))
+        return AOp(_A_OPS[t.op], args)
     raise LanguageMismatch(f"not a set term: {t!r}")
 
 
@@ -134,66 +198,41 @@ def _enum_code(codes: "list[ArithTerm]") -> ArithTerm:
     return AOp("sumc", (_enum_code(pairs),))
 
 
-def _a_ord_graph(op: str, args: "tuple[ArithTerm, ...]") -> ArithFormula:
-    x, y, z = args
-    guard = AAnd(ARel("OrdCode", (x,)), ARel("OrdCode", (y,)))
-    return AAnd(guard, ARel("=", (AOp(op, (x, y)), z)))
+def _a_atom(f: SRel) -> ArithFormula:
+    args = tuple(translate_a_term(a) for a in f.args)
+    if f.op in _A_RELS:
+        return ARel(_A_RELS[f.op], args)
+    if f.op == "in":
+        return _bit_formula(args[0], args[1])
+    if f.op in ("ordadd", "ordmul", "ordexp"):
+        x, y, z = args
+        guard = AAnd(ARel("OrdCode", (x,)), ARel("OrdCode", (y,)))
+        return AAnd(guard, ARel("=", (AOp(f.op + "c", (x, y)), z)))
+    # the cardinality comparisons compare member counts
+    sizes = (AOp("cardc", (args[0],)), AOp("cardc", (args[1],)))
+    if f.op == "~c":
+        return ARel("=", sizes)
+    if f.op == "<c":
+        return ARel("<", sizes)
+    if f.op == "<=c":
+        return ANot(ARel("<", sizes[::-1]))
+    raise LanguageMismatch(f"unknown set relation {f.op!r}")
 
 
-def translate_a(f: SetFormula) -> ArithFormula:
-    if isinstance(f, SRel):
-        args = tuple(translate_a_term(a) for a in f.args)
-        if f.op == "in":
-            return _bit_formula(args[0], args[1])
-        if f.op == "=":
-            return ARel("=", args)
-        if f.op == "<a":
-            return ARel("<", args)
-        if f.op == "~c":
-            return ARel("=", (AOp("cardc", (args[0],)),
-                              AOp("cardc", (args[1],))))
-        if f.op == "<c":
-            return ARel("<", (AOp("cardc", (args[0],)),
-                              AOp("cardc", (args[1],))))
-        if f.op == "<=c":
-            return ANot(ARel("<", (AOp("cardc", (args[1],)),
-                                   AOp("cardc", (args[0],)))))
-        if f.op == "isord":
-            return ARel("OrdCode", args)
-        if f.op == "Dom":
-            return ARel("Dom", args)
-        if f.op in ("ordadd", "ordmul", "ordexp"):
-            return _a_ord_graph(f.op + "c", args)
-        raise LanguageMismatch(f"unknown set relation {f.op!r}")
-    if isinstance(f, SNot):
-        return ANot(translate_a(f.body))
-    if isinstance(f, SAnd):
-        return AAnd(translate_a(f.left), translate_a(f.right))
-    if isinstance(f, SOr):
-        return AOr(translate_a(f.left), translate_a(f.right))
-    if isinstance(f, SImplies):
-        return AImplies(translate_a(f.left), translate_a(f.right))
-    if isinstance(f, (SForall, SExists)):
-        univ = isinstance(f, SForall)
-        if f.bound is None:
-            node = AForall if univ else AExists
-            return node(f.var, None, translate_a(f.body))
-        var, body = f.var, f.body
-        if var in free_vars(f.bound):
-            # the bound reappears inside the new scope; rename to avoid
-            # capturing its occurrence of the quantified variable
-            var = fresh_var(var, free_vars(body) | free_vars(f.bound))
-            body = substitute(body, {f.var: SVar(var)})
-        bound = translate_a_term(f.bound)
-        inner = translate_a(body)
-        if f.bound_kind == BOUND_ORDER:
-            node = AForall if univ else AExists
-            return node(var, bound, inner)
-        guard = _bit_formula(AVar(var), bound)
-        if univ:
-            return AForall(var, bound, AImplies(guard, inner))
-        return AExists(var, bound, AAnd(guard, inner))
-    raise LanguageMismatch(f"not a set formula: {f!r}")
+def _a_quantifier(q):
+    quant = TWIN[type(q)]
+    if q.bound is None:
+        return q, partial(quant, q.var, None)
+    # a member bound reappears in the guard, inside the new scope
+    q = _apart(q)
+    bound = translate_a_term(q.bound)
+    if q.bound_kind == BOUND_ORDER:
+        return q, partial(quant, q.var, bound)
+    guard = _bit_formula(AVar(q.var), bound)
+    return q, partial(_guarded, quant, q.var, bound, guard)
+
+
+translate_a = _homomorphism(SetFormula, _a_atom, _a_quantifier)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +240,14 @@ def translate_a(f: SetFormula) -> ArithFormula:
 # ---------------------------------------------------------------------------
 
 _C_OPS = {"S": "vns", "+": "cadd", "*": "cmul", "exp": "cexp"}
+_C_RELS = {"=": "~c", "<": "<c", "Dom": "Dom"}
 
 
 def translate_c_term(t: ArithTerm) -> SetTerm:
     if isinstance(t, AVar):
         return SVar(t.name)
     if isinstance(t, ALit):
-        out: SetTerm = SEmpty()
-        for _ in range(t.value):
-            out = SOp("vns", (out,))
-        return out
+        return _vn_literal(t.value)
     if isinstance(t, AOp):
         if t.op in _C_OPS:
             return SOp(_C_OPS[t.op],
@@ -222,41 +259,26 @@ def translate_c_term(t: ArithTerm) -> SetTerm:
         f"the cardinal interpretation covers 0, S, +, *, exp only: {t!r}")
 
 
-def translate_c(f: ArithFormula) -> SetFormula:
-    if isinstance(f, ARel):
-        if f.op in ("=", "<"):
-            op = "~c" if f.op == "=" else "<c"
-            return SRel(op, tuple(translate_c_term(a) for a in f.args))
-        if f.op == "Dom":
-            return SRel("Dom", tuple(translate_c_term(a) for a in f.args))
+def _c_atom(f: ARel) -> SetFormula:
+    if f.op not in _C_RELS:
         raise LanguageMismatch(
             f"the cardinal interpretation does not cover {f.op!r}")
-    if isinstance(f, ANot):
-        return SNot(translate_c(f.body))
-    if isinstance(f, AAnd):
-        return SAnd(translate_c(f.left), translate_c(f.right))
-    if isinstance(f, AOr):
-        return SOr(translate_c(f.left), translate_c(f.right))
-    if isinstance(f, AImplies):
-        return SImplies(translate_c(f.left), translate_c(f.right))
-    if isinstance(f, (AForall, AExists)):
-        univ = isinstance(f, AForall)
-        node = SForall if univ else SExists
-        if f.bound is None:
-            return node(f.var, None, translate_c(f.body))
-        # sets of every smaller cardinality occur arbitrarily late in any
-        # enumeration, so the translated quantifier cannot stay bounded;
-        # keep the comparison as a guard
-        var, body = f.var, f.body
-        if var in free_vars(f.bound):
-            var = fresh_var(var, free_vars(body) | free_vars(f.bound))
-            body = substitute(body, {f.var: AVar(var)})
-        guard = SRel("<c", (SVar(var), translate_c_term(f.bound)))
-        inner = translate_c(body)
-        if univ:
-            return SForall(var, None, SImplies(guard, inner))
-        return SExists(var, None, SAnd(guard, inner))
-    raise LanguageMismatch(f"not an arithmetic formula: {f!r}")
+    return SRel(_C_RELS[f.op], tuple(translate_c_term(a) for a in f.args))
+
+
+def _c_quantifier(q):
+    quant = TWIN[type(q)]
+    if q.bound is None:
+        return q, partial(quant, q.var, None)
+    # sets of every smaller cardinality occur arbitrarily late in any
+    # enumeration, so the translated quantifier cannot stay bounded;
+    # keep the comparison as a guard
+    q = _apart(q)
+    guard = SRel("<c", (SVar(q.var), translate_c_term(q.bound)))
+    return q, partial(_guarded, quant, q.var, None, guard)
+
+
+translate_c = _homomorphism(ArithFormula, _c_atom, _c_quantifier)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +286,7 @@ def translate_c(f: ArithFormula) -> SetFormula:
 # ---------------------------------------------------------------------------
 
 _O_GRAPHS = {"+": "ordadd", "*": "ordmul", "exp": "ordexp"}
+_O_RELS = {"=": "=", "<": "in", "Dom": "isord"}
 
 
 def _o_flatten(t: ArithTerm, constraints: "list[SetFormula]",
@@ -273,10 +296,7 @@ def _o_flatten(t: ArithTerm, constraints: "list[SetFormula]",
     if isinstance(t, AVar):
         return SVar(t.name)
     if isinstance(t, ALit):
-        out: SetTerm = SEmpty()
-        for _ in range(t.value):
-            out = SOp("vns", (out,))
-        return out
+        return _vn_literal(t.value)
     if isinstance(t, AOp):
         if t.op == "S":
             return SOp("vns",
@@ -307,71 +327,48 @@ def _o_close(atom: SetFormula, constraints: "list[SetFormula]",
     return out
 
 
-def _o_atom(op: str, terms: "tuple[ArithTerm, ...]") -> SetFormula:
+def _o_atom(f: ARel) -> SetFormula:
     avoid = set()
-    for t in terms:
+    for t in f.args:
         avoid |= free_vars(t)
     constraints: "list[SetFormula]" = []
     fresh: "list[str]" = []
-    parts = [_o_flatten(t, constraints, avoid, fresh) for t in terms]
-    if op == "=":
-        atom: SetFormula = SRel("=", tuple(parts))
-    elif op == "<":
-        atom = SRel("in", tuple(parts))
-    elif op == "Dom":
-        atom = SRel("isord", tuple(parts))
-    else:
+    parts = tuple(_o_flatten(t, constraints, avoid, fresh) for t in f.args)
+    if f.op not in _O_RELS:
         raise LanguageMismatch(
-            f"the ordinal interpretation does not cover {op!r}")
-    return _o_close(atom, constraints, fresh)
+            f"the ordinal interpretation does not cover {f.op!r}")
+    return _o_close(SRel(_O_RELS[f.op], parts), constraints, fresh)
 
 
-def translate_o(f: ArithFormula) -> SetFormula:
-    if isinstance(f, ARel):
-        return _o_atom(f.op, f.args)
-    if isinstance(f, ANot):
-        return SNot(translate_o(f.body))
-    if isinstance(f, AAnd):
-        return SAnd(translate_o(f.left), translate_o(f.right))
-    if isinstance(f, AOr):
-        return SOr(translate_o(f.left), translate_o(f.right))
-    if isinstance(f, AImplies):
-        return SImplies(translate_o(f.left), translate_o(f.right))
-    if isinstance(f, (AForall, AExists)):
-        univ = isinstance(f, AForall)
-        inner = translate_o(f.body)
-        if f.bound is None:
-            guard = SRel("isord", (SVar(f.var),))
-            body = SImplies(guard, inner) if univ else SAnd(guard, inner)
-            return (SForall if univ else SExists)(f.var, None, body)
-        # n < bound becomes membership, so the quantifier can range over
-        # the bound's members; ordinal-hood of members is automatic
-        avoid = set(free_vars(f.bound)) | set(free_vars(f.body)) | {f.var}
-        constraints: "list[SetFormula]" = []
-        fresh: "list[str]" = []
-        bound = _o_flatten(f.bound, constraints, avoid, fresh)
-        var = f.var
-        if var in free_vars(f.bound):
-            var = fresh_var(var, avoid)
-            inner = translate_o(substitute(f.body, {f.var: AVar(var)}))
-        quant = (SForall if univ else SExists)(
-            var, bound, inner, BOUND_MEMBER)
-        if not constraints:
-            return quant
-        return _o_close(quant, constraints, fresh)
-    raise LanguageMismatch(f"not an arithmetic formula: {f!r}")
+def _o_quantifier(q):
+    if q.bound is None:
+        guard = SRel("isord", (SVar(q.var),))
+        return q, partial(_guarded, TWIN[type(q)], q.var, None, guard)
+    return q, partial(_o_bounded, q)
+
+
+def _o_bounded(q, inner: SetFormula) -> SetFormula:
+    """n < bound becomes membership, so the quantifier can range over the
+    bound's members; ordinal-hood of members is automatic.  The body is
+    translated before the bound, so that its mismatch is the one
+    reported."""
+    avoid = set(free_vars(q.bound)) | set(free_vars(q.body)) | {q.var}
+    constraints: "list[SetFormula]" = []
+    fresh: "list[str]" = []
+    bound = _o_flatten(q.bound, constraints, avoid, fresh)
+    renamed = _apart(q, avoid)
+    if renamed is not q:
+        inner = translate_o(renamed.body)
+    image = TWIN[type(q)](renamed.var, bound, inner, BOUND_MEMBER)
+    return _o_close(image, constraints, fresh)
+
+
+translate_o = _homomorphism(ArithFormula, _o_atom, _o_quantifier)
 
 
 # ---------------------------------------------------------------------------
 # d: arithmetic -> set (numbers as their position along the ordering)
 # ---------------------------------------------------------------------------
-
-_D_OPS = {"S": "osucc", "+": "oadd", "*": "omul", "exp": "oexp",
-          "pow": "pset", "sumc": "sum", "pairc": "pair", "rankc": "rank",
-          "cardc": "cardof", "vnsc": "vns", "ordaddc": "vadd",
-          "ordmulc": "vmul", "ordexpc": "vexp", "caddc": "cadd",
-          "cmulc": "cmul", "cexpc": "cexp"}
-
 
 def translate_d_term(t: ArithTerm) -> SetTerm:
     if isinstance(t, AVar):
@@ -385,32 +382,19 @@ def translate_d_term(t: ArithTerm) -> SetTerm:
     raise LanguageMismatch(f"not an arithmetic term: {t!r}")
 
 
-def translate_d(f: ArithFormula) -> SetFormula:
-    if isinstance(f, ARel):
-        args = tuple(translate_d_term(a) for a in f.args)
-        if f.op == "=":
-            return SRel("=", args)
-        if f.op == "<":
-            return SRel("<a", args)
-        if f.op == "Dom":
-            return SRel("Dom", args)
-        if f.op == "OrdCode":
-            return SRel("isord", args)
-        raise LanguageMismatch(f"unknown arithmetic relation {f.op!r}")
-    if isinstance(f, ANot):
-        return SNot(translate_d(f.body))
-    if isinstance(f, AAnd):
-        return SAnd(translate_d(f.left), translate_d(f.right))
-    if isinstance(f, AOr):
-        return SOr(translate_d(f.left), translate_d(f.right))
-    if isinstance(f, AImplies):
-        return SImplies(translate_d(f.left), translate_d(f.right))
-    if isinstance(f, (AForall, AExists)):
-        node = SForall if isinstance(f, AForall) else SExists
-        bound = None if f.bound is None else translate_d_term(f.bound)
-        kind = BOUND_ORDER if bound is not None else BOUND_MEMBER
-        return node(f.var, bound, translate_d(f.body), kind)
-    raise LanguageMismatch(f"not an arithmetic formula: {f!r}")
+def _d_atom(f: ARel) -> SetFormula:
+    return SRel(_D_RELS[f.op], tuple(translate_d_term(a) for a in f.args))
+
+
+def _d_quantifier(q):
+    quant = TWIN[type(q)]
+    if q.bound is None:
+        return q, partial(quant, q.var, None)
+    bound = translate_d_term(q.bound)
+    return q, partial(quant, q.var, bound, bound_kind=BOUND_ORDER)
+
+
+translate_d = _homomorphism(ArithFormula, _d_atom, _d_quantifier)
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,3 @@ def numeral_value(num: "Numeral | tuple[int, ...]") -> int:
         if b:
             n |= 1 << i
     return n
-
-
-def segment_card(x: HFSet) -> int:
-    """Size of the ordering segment from {{}} to x inclusive.
-
-    The segment starts at the first nonempty set, so it has position(x)
-    elements; for the empty set the segment is degenerate and has 0.
-    """
-    return position(x)

@@ -28,7 +28,6 @@ from .core import (
     mem,
     pair,
     powerset,
-    rank,
     separate,
     sumset,
 )
@@ -41,7 +40,9 @@ from .formulas import (
     ARel,
     AVar,
     ArithFormula,
+    children,
     free_vars,
+    rebuild,
 )
 from .interp import get_map, translate_a, translate_c, translate_d
 from .parser import parse_arith, parse_set
@@ -337,7 +338,7 @@ def check_axioms(ctx: "EvalContext | None" = None,
     bad = None
     level_shape: "dict[int, bool]" = {}
     for cx, x in enumerate(universe):
-        r = rank(x)
+        r = x.rank
         lvl = materialize_level(r + 1, ctx.enum_budget)
         if r + 1 not in level_shape:
             level_shape[r + 1] = is_level(lvl)
@@ -460,16 +461,10 @@ def membership_bit_formula(mutation: "str | None" = None) -> ArithFormula:
 def _swap_subterm(node, old, new):
     if node == old:
         return new
-    if isinstance(node, AOp):
-        return AOp(node.op, tuple(_swap_subterm(a, old, new)
-                                  for a in node.args))
-    if isinstance(node, ARel):
-        return ARel(node.op, tuple(_swap_subterm(a, old, new)
-                                   for a in node.args))
-    if isinstance(node, AExists):
-        return AExists(node.var, _swap_subterm(node.bound, old, new),
-                       _swap_subterm(node.body, old, new))
-    return node
+    kids = []
+    for kid in children(node):
+        kids.append(_swap_subterm(kid, old, new))
+    return rebuild(node, kids)
 
 
 def _bit_closed_form(bit: ArithFormula):

@@ -5,6 +5,7 @@ error, 65 language mismatch.
 """
 
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,20 @@ def test_eval_no_solver_still_correct(capsys):
     assert (rc, out) == (0, "true\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--arith", "0 = 0"),
+    ("eval", "--set", "0e = 0e"),
+    ("translate", "--map", "a", "x in y"),
+    ("translate", "--map", "d", "x < y"),
+])
+def test_deeply_nested_negations(capsys, argv):
+    # the tree walkers spend a bounded number of frames per level, so
+    # 900 nested negations stay inside Python's default recursion limit
+    *head, formula = argv
+    rc, _, _ = run(capsys, *head, "!" * 900 + formula)
+    assert rc in (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -163,6 +178,8 @@ def test_verify_human_output(capsys):
 def test_verify_human_output_has_timestamp_by_default(capsys):
     rc, out, _ = run(capsys, "verify", "cardinal")
     assert rc == 0 and "finished:" in out
+    finished = out.splitlines()[-1]
+    assert re.fullmatch(r"finished: \S+ \(elapsed \d+\.\d s\)", finished)
 
 
 def test_verify_json_output_is_byte_stable(capsys):

@@ -128,11 +128,11 @@ def test_separate_ordinals_of_v3():
 
 
 def test_rank_examples():
-    assert core.rank(core.empty()) == 0
-    assert core.rank(core.decode(1)) == 1
-    assert core.rank(core.decode(3)) == 2
-    assert core.rank(core.decode(65535)) == 4
-    assert core.rank(core.decode(65536)) == 5
+    assert core.empty().rank == 0
+    assert core.decode(1).rank == 1
+    assert core.decode(3).rank == 2
+    assert core.decode(65535).rank == 4
+    assert core.decode(65536).rank == 5
 
 
 def test_rank_is_one_plus_max_child_rank():
@@ -159,9 +159,9 @@ def test_level_members_are_initial_code_segment():
 
 def test_level_of_and_is_level():
     x = core.decode(6)
-    ref = core.level_of(x)
-    assert ref.index == core.rank(x) + 1
-    assert core.mem(x, ref.materialize())
+    # the least level holding x as a member is V_{rank(x)+1}
+    assert x.rank == 3
+    assert core.mem(x, core.materialize_level(x.rank + 1))
     for m in range(5):
         assert core.is_level(core.materialize_level(m))
     assert not core.is_level(core.decode(5))

@@ -120,7 +120,7 @@ def test_successor_crosses_rank_boundaries():
         x = core.decode(boundary)
         s = order.successor_a(x)
         assert core.encode(s) == boundary + 1
-        assert core.rank(s) == core.rank(x) + 1
+        assert s.rank == x.rank + 1
 
 
 def test_successor_beyond_materialized_orderings():
@@ -162,5 +162,6 @@ def test_numeral_carry_pattern():
 
 
 def test_segment_card():
-    assert order.segment_card(core.empty()) == 0
-    assert order.segment_card(core.decode(5)) == 5
+    # the segment from {{}} to x inclusive has position(x) elements
+    assert order.position(core.empty()) == 0
+    assert order.position(core.decode(5)) == 5
