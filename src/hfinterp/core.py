@@ -230,12 +230,12 @@ def powerset(x: HFSet, enum_budget: "int | None" = None) -> HFSet:
     k = len(x.children)
     if (1 << k) > cap:
         raise BudgetExceeded(f"powerset would enumerate 2^{k} subsets")
-    cs = x.children
-    subs = []
-    for mask in range(1 << k):
-        picked = tuple(cs[i] for i in range(k) if (mask >> i) & 1)
-        subs.append(_intern_sorted(picked))  # subsequence of sorted: sorted
-    return from_children(subs)
+    # doubling keeps mask order: subs[mask] picks cs[i] for each bit i of
+    # mask, and appending in code order keeps every tuple sorted
+    subs: "list[tuple[HFSet, ...]]" = [()]
+    for c in x.children:
+        subs += [t + (c,) for t in subs]
+    return from_children([_intern_sorted(t) for t in subs])
 
 
 def adjoin(x: HFSet, z: HFSet) -> HFSet:

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from . import cardinal, order
-from .arith import FAST, LITERAL, add_a, exp_a, mul_a
+from .arith import FAST, add_a, exp_a, mul_a
 from .core import (
     DEFAULT_BIT_BUDGET,
     DEFAULT_ENUM_BUDGET,
@@ -242,7 +242,9 @@ def eval_arith_term(t: ArithTerm, env: "dict[str, int]",
         return out
     if not isinstance(t, AOp):
         raise TypeError(f"not an arithmetic term: {t!r}")
-    args = [eval_arith_term(a, env, ctx) for a in t.args]
+    args = []
+    for a in t.args:  # a loop, not a comprehension: one frame per level
+        args.append(eval_arith_term(a, env, ctx))
     op = t.op
     if op == "S":
         return args[0] + 1
@@ -575,7 +577,10 @@ def eval_set_term(t: SetTerm, env: "dict[str, HFSet]",
         # which provably enumerates the ordering
         return decode(t.value, ctx.code_budget)
     if isinstance(t, SEnum):
-        return from_children(eval_set_term(e, env, ctx) for e in t.elems)
+        elems = []
+        for e in t.elems:
+            elems.append(eval_set_term(e, env, ctx))
+        return from_children(elems)
     if isinstance(t, SSep):
         dom = eval_set_term(t.dom, env, ctx)
         inner = dict(env)
@@ -587,7 +592,9 @@ def eval_set_term(t: SetTerm, env: "dict[str, HFSet]",
         return separate(dom, pred)
     if not isinstance(t, SOp):
         raise TypeError(f"not a set term: {t!r}")
-    args = [eval_set_term(a, env, ctx) for a in t.args]
+    args = []
+    for a in t.args:  # a loop, not a comprehension: one frame per level
+        args.append(eval_set_term(a, env, ctx))
     op = t.op
     if op == "pair":
         return pair(args[0], args[1])

@@ -504,8 +504,10 @@ def show_arith_term(t: ArithTerm, context: int = 0) -> str:
             left = show_arith_term(t.args[0], mine)
             right = show_arith_term(t.args[1], mine + 1)
             return _paren(f"{left} {t.op} {right}", mine, context)
-        args = ", ".join(show_arith_term(a) for a in t.args)
-        return f"{t.op}({args})"
+        args = []
+        for a in t.args:  # a loop, not a generator: one frame per level
+            args.append(show_arith_term(a))
+        return f"{t.op}({', '.join(args)})"
     raise TypeError(f"not an arithmetic term: {t!r}")
 
 
@@ -517,7 +519,10 @@ def show_set_term(t: SetTerm, context: int = 0) -> str:
     if isinstance(t, SLit):
         return f"#{t.value}"
     if isinstance(t, SEnum):
-        return "{" + ", ".join(show_set_term(e) for e in t.elems) + "}"
+        elems = []
+        for e in t.elems:
+            elems.append(show_set_term(e))
+        return "{" + ", ".join(elems) + "}"
     if isinstance(t, SSep):
         return f"sep({t.var} in {show_set_term(t.dom)}, {show_set(t.body)})"
     if isinstance(t, SOp):
@@ -526,8 +531,10 @@ def show_set_term(t: SetTerm, context: int = 0) -> str:
             left = show_set_term(t.args[0], mine)
             right = show_set_term(t.args[1], mine + 1)
             return _paren(f"{left} {sym} {right}", mine, context)
-        args = ", ".join(show_set_term(a) for a in t.args)
-        return f"{_SET_FUNC[t.op]}({args})"
+        args = []
+        for a in t.args:  # a loop, not a generator: one frame per level
+            args.append(show_set_term(a))
+        return f"{_SET_FUNC[t.op]}({', '.join(args)})"
     raise TypeError(f"not a set term: {t!r}")
 
 

@@ -175,14 +175,19 @@ def translate_a_term(t: SetTerm) -> ArithTerm:
     if isinstance(t, SEnum):
         if not t.elems:
             return ALit(0)
-        return _enum_code([translate_a_term(e) for e in t.elems])
+        codes = []
+        for e in t.elems:
+            codes.append(translate_a_term(e))
+        return _enum_code(codes)
     if isinstance(t, SSep):
         return ASep(t.var, translate_a_term(t.dom), translate_a(t.body))
     if isinstance(t, SOp):
-        args = tuple(translate_a_term(a) for a in t.args)
+        args = []
+        for a in t.args:  # a loop, not a generator: one frame per level
+            args.append(translate_a_term(a))
         if t.op == "osucc":
             return AOp("+", (args[0], ALit(1)))
-        return AOp(_A_OPS[t.op], args)
+        return AOp(_A_OPS[t.op], tuple(args))
     raise LanguageMismatch(f"not a set term: {t!r}")
 
 
@@ -250,8 +255,10 @@ def translate_c_term(t: ArithTerm) -> SetTerm:
         return _vn_literal(t.value)
     if isinstance(t, AOp):
         if t.op in _C_OPS:
-            return SOp(_C_OPS[t.op],
-                       tuple(translate_c_term(a) for a in t.args))
+            args = []
+            for a in t.args:  # a loop, not a generator: one frame per level
+                args.append(translate_c_term(a))
+            return SOp(_C_OPS[t.op], tuple(args))
         raise LanguageMismatch(
             f"the cardinal interpretation covers 0, S, +, *, exp only, "
             f"not {t.op!r}")
@@ -376,7 +383,10 @@ def translate_d_term(t: ArithTerm) -> SetTerm:
     if isinstance(t, ALit):
         return SEmpty() if t.value == 0 else SLit(t.value)
     if isinstance(t, AOp):
-        return SOp(_D_OPS[t.op], tuple(translate_d_term(a) for a in t.args))
+        args = []
+        for a in t.args:  # a loop, not a generator: one frame per level
+            args.append(translate_d_term(a))
+        return SOp(_D_OPS[t.op], tuple(args))
     if isinstance(t, ASep):
         return SSep(t.var, translate_d_term(t.bound), translate_d(t.body))
     raise LanguageMismatch(f"not an arithmetic term: {t!r}")

@@ -4,7 +4,9 @@ Two independent routes to the same total order:
 
 - the literal route builds, level by level, the lexicographic ordering of
   each cumulative level's members over the previous level's ordering
-  (`ack_order`), by actually sorting with the symmetric-difference rule;
+  (`ack_order`), by actually sorting with the symmetric-difference rule,
+  stated as a sort key; `lex_less` states the same rule as a comparator,
+  and the tests check the built order against it;
 - the recursive route (`ack_less`) compares two sets directly: lower rank
   first, then whichever owns the largest member on which they disagree.
 
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterator
 
-from .core import HFSet, empty, from_children, mem, tower
+from .core import HFSet, empty, from_children, materialize_level, mem, tower
 from .errors import BudgetExceeded, NotASubset
 
 #: levels whose member orderings are small enough to sort literally
@@ -79,9 +80,14 @@ def ack_order(m: int) -> LinearOrder:
     """The ordering of level V_m's members, built literally.
 
     Stage m+1 sorts all subsets of stage m's carrier with the
-    lexicographic rule over stage m.  The input enumeration is shuffled
-    (fixed seed) before sorting so the construction order cannot leak
-    into the result; only the comparator determines it.
+    lexicographic rule over stage m, used as a key: a subset's positions
+    in stage m, in descending order.  Comparing two such sequences finds
+    the greatest element on which the subsets disagree, and a prefix
+    (the subset lacking it) sorts first, which is exactly `lex_less`, the
+    comparator the tests check this order against.  No code enters the
+    key.  The input enumeration is shuffled (fixed seed) before sorting
+    so the construction order cannot leak into the result; only the key
+    determines it.
     """
     if m < 0:
         raise ValueError("levels are indexed by naturals")
@@ -91,18 +97,11 @@ def ack_order(m: int) -> LinearOrder:
     for k in range(1, m + 1):
         if k in _ACK_ORDERS:
             continue
-        prev = _ACK_ORDERS[k - 1]
-        base = prev.items
-        subsets = []
-        for mask in range(1 << len(base)):
-            picked = [base[i] for i in range(len(base)) if (mask >> i) & 1]
-            subsets.append(from_children(picked))
-        rng = random.Random(0xACC0 + k)
-        rng.shuffle(subsets)
-        index = prev.index
-        subsets.sort(key=cmp_to_key(
-            lambda a, b: -1 if _lex_less(index, a, b)
-            else (0 if a is b else 1)))
+        index = _ACK_ORDERS[k - 1].index
+        subsets = list(materialize_level(k).children)
+        random.Random(0xACC0 + k).shuffle(subsets)
+        subsets.sort(key=lambda s: sorted(
+            [index[c] for c in s.children], reverse=True))
         _ACK_ORDERS[k] = LinearOrder(tuple(subsets))
     return _ACK_ORDERS[m]
 

@@ -17,7 +17,6 @@ from .errors import FormulaSyntaxError
 from .formulas import (
     ALit,
     ARITH_OPS,
-    ARITH_RELS,
     AAnd,
     AExists,
     AForall,
@@ -31,8 +30,6 @@ from .formulas import (
     BOUND_MEMBER,
     BOUND_ORDER,
     SEnum,
-    SET_OPS,
-    SET_RELS,
     SAnd,
     SEmpty,
     SExists,

@@ -160,6 +160,22 @@ def test_deeply_nested_negations(capsys, argv):
     assert rc in (0, 1)
 
 
+FLAT_SUM = "0 = " + "+".join(["1"] * 600)
+
+
+def test_flat_sum_evaluates(capsys):
+    # the parser builds a 600-term sum in a loop; the term walkers take one
+    # frame per level, so evaluating it stays inside the recursion limit
+    rc, out, _ = run(capsys, "eval", "--arith", FLAT_SUM)
+    assert (rc, out) == (1, "false\n")
+
+
+def test_flat_sum_translates(capsys):
+    rc, out, _ = run(capsys, "translate", "--map", "d", FLAT_SUM)
+    assert rc == 0
+    assert out == "0e = " + " +a ".join(["#1"] * 600) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

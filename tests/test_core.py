@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,23 @@ def test_powerset_is_submask_enumeration():
 
 def test_powerset_of_pair_example():
     assert core.powerset(core.decode(3)) is core.decode(15)
+
+
+def test_powerset_of_level_four_is_level_five():
+    v5 = core.powerset(core.materialize_level(4))
+    assert v5 is core.materialize_level(5)
+    assert [core.encode(c) for c in v5.children] == list(range(1 << 16))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_powerset_matches_mask_enumeration(seed):
+    rng = random.Random(seed)
+    members = rng.sample(range(5000), rng.randint(0, 10))
+    x = core.decode(sum(1 << c for c in members))
+    cs, k = x.children, len(x.children)
+    masks = {core.from_children(cs[i] for i in range(k) if (mask >> i) & 1)
+             for mask in range(1 << k)}
+    assert set(core.powerset(x).children) == masks
 
 
 def test_adjoin():

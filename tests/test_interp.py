@@ -31,13 +31,16 @@ from hfinterp.formulas import (
     ARel,
     AVar,
     SEmpty,
+    SEnum,
     SForall,
     SOp,
     SRel,
     SVar,
     free_vars,
     show_arith,
+    show_arith_term,
     show_set,
+    show_set_term,
 )
 from hfinterp.interp import (
     MAP_A,
@@ -481,3 +484,34 @@ def test_composed_term_maps_chain():
     # the ordinal map publishes no term translation, so neither does a
     # composition through it
     assert get_map("ao").on_term is None
+
+
+def _nest(leaf, wrap, levels=800):
+    t = leaf
+    for _ in range(levels):
+        t = wrap(t)
+    return t
+
+
+def _eval_set_term(t):
+    return eval_set_term(t, {}, EvalContext())
+
+
+def _eval_arith_term(t):
+    return eval_arith_term(t, {}, EvalContext())
+
+
+@pytest.mark.parametrize("walk", [translate_a_term, show_set_term,
+                                  _eval_set_term])
+@pytest.mark.parametrize("wrap", [lambda t: SEnum((t,)),
+                                  lambda t: SOp("sum", (t,))],
+                         ids=["enum", "sum"])
+def test_set_term_walkers_take_one_frame_per_level(walk, wrap):
+    # 800 levels fit the default recursion limit only at one frame a level
+    walk(_nest(SEmpty(), wrap))
+
+
+@pytest.mark.parametrize("walk", [translate_c_term, translate_d_term,
+                                  show_arith_term, _eval_arith_term])
+def test_arith_term_walkers_take_one_frame_per_level(walk):
+    walk(_nest(ALit(0), lambda t: AOp("S", (t,))))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,36 @@ def test_ack_order_end_extension():
     for m in range(1, 5):
         lo, hi = order.ack_order(m), order.ack_order(m + 1)
         assert hi.items[:len(lo.items)] == lo.items
+
+
+def _comparator_sort(prev, carrier):
+    return tuple(sorted(carrier, key=cmp_to_key(
+        lambda a, b: -1 if order.lex_less(prev, a, b)
+        else (0 if a is b else 1))))
+
+
+def test_ack_order_matches_a_lex_less_sort():
+    # the key sort and the comparator give one order, whatever the input
+    # arrangement the comparator starts from
+    for k in range(1, 5):
+        prev = order.ack_order(k - 1)
+        carrier = list(core.materialize_level(k).children)
+        shuffled = list(carrier)
+        random.Random(k).shuffle(shuffled)
+        for start in (carrier[::-1], shuffled):
+            assert _comparator_sort(prev, start) == order.ack_order(k).items
+
+
+def test_ack_order_level5_is_lex_increasing():
+    order4, items = order.ack_order(4), order.ack_order(5).items
+    assert len(items) == 1 << 16
+    for x, y in zip(items, items[1:]):
+        assert order.lex_less(order4, x, y)
+
+
+def test_ack_order_level5_is_the_code_order():
+    assert order.ack_order(5).items == tuple(
+        core.decode(c) for c in range(1 << 16))
 
 
 def test_ack_order_rejects_unmaterializable_levels():
