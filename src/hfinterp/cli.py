@@ -251,6 +251,12 @@ def main(argv: "list[str] | None" = None) -> int:
     except (BudgetExceeded, NotAnOrdinal) as e:
         print(f"budget: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # an input, or a formula's image, nested deeper than the walkers
+        # (one frame per level) can follow within the recursion limit
+        print("budget: input nested too deeply for the recursion limit",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,12 +18,38 @@ variables (the shape the membership translation produces): when the
 coefficients form a positional number system the witness is read off by
 repeated divmod and then re-checked by honest evaluation.  Everything
 else falls back to enumeration.
+
+Compilation.  `eval_arith`, `eval_set`, `eval_arith_term` and
+`eval_set_term` compile a tree into nested closures ``fn(env, ctx)`` the
+first time they meet it (closure code generation, after Feeley and
+Lapalme, "Using closures for code generation", 1987).  Each node's
+closure is stored on the node itself, in the frozen dataclass's
+``__dict__`` as `order.LinearOrder.index` stores its index, so a
+compiled form lives and dies with its tree and no module-level table
+is keyed by formulas.  Resolved when a node is compiled: its class and
+operator (one specialised closure each), the bit-guard match of a
+bounded arithmetic quantifier and the candidate conjuncts of the
+ordinal-graph witness.  Resolved on first use and then kept in the
+quantifier's closure: the chain plan of a bounded arithmetic
+existential (its coefficient, constant and bound terms compiled), the
+order transport of an order-bounded set quantifier (its `translate_a`
+image, compiled, with its free variables) and the order-chain plan of
+an order-bounded set existential (with the variables it encodes).
+
+Nothing from the context is compiled in: the closures read
+`ctx.solver`, `ctx.mode`, the cutoffs, the budgets and
+`ctx.literal_cutoff` when they run, so one compiled tree serves every
+context.  With ``solver=False`` no shortcut runs; a chain witness is
+believed only after an honest evaluation of the compiled atom, and an
+order-chain witness is re-checked with the set operations.  Compiling
+and running both take one Python frame per tree level.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import cardinal, order
 from .arith import FAST, add_a, exp_a, mul_a
@@ -64,11 +90,10 @@ from .formulas import (
     AVar,
     ArithFormula,
     ArithTerm,
-    BOUND_MEMBER,
     BOUND_ORDER,
-    SEnum,
     SAnd,
     SEmpty,
+    SEnum,
     SExists,
     SForall,
     SImplies,
@@ -104,11 +129,92 @@ class EvalContext:
         return replace(self, mode=mode)
 
 
-def _lookup(env: dict, name: str):
-    try:
-        return env[name]
-    except KeyError:
-        raise ValueError(f"unbound variable {name!r}") from None
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+#: the attribute a node's compiled closure is stored under
+_FN = "_compiled"
+
+
+def _store(node, fn):
+    object.__setattr__(node, _FN, fn)
+    return fn
+
+
+def eval_arith_term(t: ArithTerm, env: "dict[str, int]",
+                    ctx: EvalContext) -> int:
+    return _compile_arith_term(t)(env, ctx)
+
+
+def eval_arith(f: ArithFormula, env: "dict[str, int]",
+               ctx: EvalContext) -> bool:
+    return _compile_arith(f)(env, ctx)
+
+
+def eval_set_term(t: SetTerm, env: "dict[str, HFSet]",
+                  ctx: EvalContext) -> HFSet:
+    return _compile_set_term(t)(env, ctx)
+
+
+def eval_set(f: SetFormula, env: "dict[str, HFSet]",
+             ctx: EvalContext) -> bool:
+    return _compile_set(f)(env, ctx)
+
+
+# ---------------------------------------------------------------------------
+# closures shared by both languages
+# ---------------------------------------------------------------------------
+
+def _variable(name: str):
+    def fn(env, ctx):
+        try:
+            return env[name]
+        except KeyError:
+            raise ValueError(f"unbound variable {name!r}") from None
+    return fn
+
+
+def _op(helper):
+    """A maker for an operation or relation whose value is
+    `helper(*argument values, ctx)`."""
+    def make(*args):
+        if len(args) == 1:
+            (a,) = args
+            return lambda env, ctx: helper(a(env, ctx), ctx)
+        if len(args) == 2:
+            a, b = args
+            return lambda env, ctx: helper(a(env, ctx), b(env, ctx), ctx)
+        a, b, c = args
+        return lambda env, ctx: helper(a(env, ctx), b(env, ctx),
+                                       c(env, ctx), ctx)
+    return make
+
+
+def _negation(a):
+    return lambda env, ctx: not a(env, ctx)
+
+
+def _conjunction(a, b):
+    return lambda env, ctx: a(env, ctx) and b(env, ctx)
+
+
+def _disjunction(a, b):
+    return lambda env, ctx: a(env, ctx) or b(env, ctx)
+
+
+def _implication(a, b):
+    return lambda env, ctx: (not a(env, ctx)) or b(env, ctx)
+
+
+#: binary connective class -> closure maker
+_BINARY = {AAnd: _conjunction, SAnd: _conjunction,
+           AOr: _disjunction, SOr: _disjunction,
+           AImplies: _implication, SImplies: _implication}
+
+
+#: what a plan resolved on first use holds before that use
+_UNSEEN = object()
 
 
 # ---------------------------------------------------------------------------
@@ -225,67 +331,91 @@ def _cexp_code(s: int, t: int, budget: int) -> int:
     return out
 
 
-def eval_arith_term(t: ArithTerm, env: "dict[str, int]",
-                    ctx: EvalContext) -> int:
-    if isinstance(t, AVar):
-        return _lookup(env, t.name)
-    if isinstance(t, ALit):
-        return t.value
-    if isinstance(t, ASep):
-        host = eval_arith_term(t.bound, env, ctx)
-        out = 0
-        inner = dict(env)
-        for i in _bit_positions(host):
-            inner[t.var] = i
-            if eval_arith(t.body, inner, ctx):
-                out |= 1 << i
-        return out
-    if not isinstance(t, AOp):
-        raise TypeError(f"not an arithmetic term: {t!r}")
-    args = []
-    for a in t.args:  # a loop, not a comprehension: one frame per level
-        args.append(eval_arith_term(a, env, ctx))
-    op = t.op
-    if op == "S":
-        return args[0] + 1
-    if op == "+":
-        return args[0] + args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if op == "exp":
-        base, power = args
+def _succ(a):
+    return lambda env, ctx: a(env, ctx) + 1
+
+
+def _plus(a, b):
+    return lambda env, ctx: a(env, ctx) + b(env, ctx)
+
+
+def _times(a, b):
+    return lambda env, ctx: a(env, ctx) * b(env, ctx)
+
+
+def _power(a, b):
+    def fn(env, ctx):
+        base = a(env, ctx)
+        power = b(env, ctx)
         if base >= 2 and power * base.bit_length() > ctx.code_budget + 64:
             raise BudgetExceeded("exponentiation exceeds the bit budget")
         return base ** power
-    if op == "pow":
-        return _pow_code(args[0], ctx.code_budget)
-    if op == "sumc":
-        return _sum_code(args[0])
-    if op == "pairc":
-        a, b = args
-        return _shifted_bit(a, ctx.code_budget) | \
-            _shifted_bit(b, ctx.code_budget)
-    if op == "rankc":
-        return _rank_code(args[0], ctx.code_budget)
-    if op == "cardc":
-        return args[0].bit_count()
-    if op == "vnsc":
-        return args[0] | _shifted_bit(args[0], ctx.code_budget)
-    if op in ("ordaddc", "ordmulc", "ordexpc"):
-        i = _ord_chain_index(args[0], ctx.code_budget)
-        j = _ord_chain_index(args[1], ctx.code_budget)
+    return fn
+
+
+def _ord_code_op(op: str, combine):
+    def helper(a: int, b: int, ctx) -> int:
+        i = _ord_chain_index(a, ctx.code_budget)
+        j = _ord_chain_index(b, ctx.code_budget)
         if i is None or j is None:
             raise NotAnOrdinal(f"{op} needs ordinal codes")
-        k = {"ordaddc": i + j, "ordmulc": i * j,
-             "ordexpc": i ** j}[op]
-        return _ord_code_of(k, ctx.code_budget)
-    if op == "caddc":
-        return _cadd_code(args[0], args[1], ctx.code_budget)
-    if op == "cmulc":
-        return _cmul_code(args[0], args[1], ctx.code_budget)
-    if op == "cexpc":
-        return _cexp_code(args[0], args[1], ctx.code_budget)
-    raise TypeError(f"unknown arithmetic operation {op!r}")
+        return _ord_code_of(combine(i, j), ctx.code_budget)
+    return _op(helper)
+
+
+#: arithmetic operation -> closure maker over the compiled arguments
+_ARITH_OPS = {
+    "S": _succ, "+": _plus, "*": _times, "exp": _power,
+    "pow": _op(lambda n, ctx: _pow_code(n, ctx.code_budget)),
+    "sumc": _op(lambda n, ctx: _sum_code(n)),
+    "pairc": _op(lambda a, b, ctx: _shifted_bit(a, ctx.code_budget)
+                 | _shifted_bit(b, ctx.code_budget)),
+    "rankc": _op(lambda n, ctx: _rank_code(n, ctx.code_budget)),
+    "cardc": _op(lambda n, ctx: n.bit_count()),
+    "vnsc": _op(lambda n, ctx: n | _shifted_bit(n, ctx.code_budget)),
+    "ordaddc": _ord_code_op("ordaddc", lambda i, j: i + j),
+    "ordmulc": _ord_code_op("ordmulc", lambda i, j: i * j),
+    "ordexpc": _ord_code_op("ordexpc", lambda i, j: i ** j),
+    "caddc": _op(lambda s, t, ctx: _cadd_code(s, t, ctx.code_budget)),
+    "cmulc": _op(lambda s, t, ctx: _cmul_code(s, t, ctx.code_budget)),
+    "cexpc": _op(lambda s, t, ctx: _cexp_code(s, t, ctx.code_budget)),
+}
+
+
+def _arith_sep(var: str, bound, body):
+    def fn(env, ctx):
+        host = bound(env, ctx)
+        out = 0
+        inner = dict(env)
+        for i in _bit_positions(host):
+            inner[var] = i
+            if body(inner, ctx):
+                out |= 1 << i
+        return out
+    return fn
+
+
+def _compile_arith_term(t: ArithTerm):
+    fn = vars(t).get(_FN)
+    if fn is not None:
+        return fn
+    cls = type(t)
+    if cls is AVar:
+        fn = _variable(t.name)
+    elif cls is ALit:
+        value = t.value
+        fn = lambda env, ctx: value  # noqa: E731
+    elif cls is ASep:
+        fn = _arith_sep(t.var, _compile_arith_term(t.bound),
+                        _compile_arith(t.body))
+    elif cls is AOp:
+        args = []
+        for a in t.args:  # a loop, not a comprehension: one frame per level
+            args.append(_compile_arith_term(a))
+        fn = _ARITH_OPS[t.op](*args)
+    else:
+        raise TypeError(f"not an arithmetic term: {t!r}")
+    return _store(t, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +472,24 @@ def _linear_form(t: ArithTerm, chain: "frozenset[str]") -> "_LinearForm | None":
 
 @dataclass(frozen=True)
 class _ChainPlan:
-    """Analysis of exists v1 < b1. ... exists vk < bk. lhs = rhs."""
+    """exists v1 < b1. ... exists vk < bk. lhs = rhs, compiled: the net
+    coefficient of each variable and the constants as summed terms."""
 
     vars: "tuple[str, ...]"
-    bounds: "tuple[ArithTerm, ...]"
-    net: "dict[str, tuple[tuple[ArithTerm, ...], tuple[ArithTerm, ...]]]"
-    const: "tuple[tuple[ArithTerm, ...], tuple[ArithTerm, ...]]"
-    atom: ArithFormula
+    bounds: tuple                  # compiled bound terms
+    net: tuple                     # (var, left terms, right terms)
+    const: tuple                   # (left terms, right terms)
+    atom: object                   # the compiled matrix
 
 
-_CHAIN_PLANS: "dict[ArithFormula, _ChainPlan | None]" = {}
+def _terms(ts) -> tuple:
+    return tuple(_compile_arith_term(u) for u in ts)
 
 
-def _analyze_chain(f: AExists) -> "_ChainPlan | None":
-    names, bounds = [], []
-    body: ArithFormula = f
+def _chain_plan(var: str, bound: ArithTerm,
+                body: ArithFormula) -> "_ChainPlan | None":
+    """The plan of `exists var < bound. body`, None outside the fragment."""
+    names, bounds = [var], [bound]
     while isinstance(body, AExists):
         if body.bound is None or body.var in names:
             return None
@@ -373,23 +506,28 @@ def _analyze_chain(f: AExists) -> "_ChainPlan | None":
     rhs = _linear_form(body.args[1], chain)
     if lhs is None or rhs is None:
         return None
-    net = {v: (lhs.coeffs.get(v, ()), rhs.coeffs.get(v, ()))
-           for v in names}
-    return _ChainPlan(tuple(names), tuple(bounds), net,
-                      (lhs.const, rhs.const), body)
+    net = tuple((v, _terms(lhs.coeffs.get(v, ())),
+                 _terms(rhs.coeffs.get(v, ()))) for v in names)
+    return _ChainPlan(tuple(names), _terms(bounds), net,
+                      (_terms(lhs.const), _terms(rhs.const)),
+                      _compile_arith(body))
+
+
+def _total(terms, env, ctx) -> int:
+    out = 0
+    for u in terms:
+        out += u(env, ctx)
+    return out
 
 
 def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
                  ctx: EvalContext) -> "tuple[bool | None, dict | None]":
     """(True, witness) / (False, None) when the cascade decides the
     chain, (None, None) to fall back to enumeration."""
-    def total(terms):
-        return sum(eval_arith_term(u, env, ctx) for u in terms)
-
     coeffs = {}
-    for v, (left, right) in plan.net.items():
-        coeffs[v] = total(left) - total(right)
-    target = total(plan.const[1]) - total(plan.const[0])
+    for v, left, right in plan.net:
+        coeffs[v] = _total(left, env, ctx) - _total(right, env, ctx)
+    target = _total(plan.const[1], env, ctx) - _total(plan.const[0], env, ctx)
     if any(c < 0 for c in coeffs.values()):
         if all(c <= 0 for c in coeffs.values()):
             coeffs = {v: -c for v, c in coeffs.items()}
@@ -400,7 +538,7 @@ def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
         return False, None
     limits = {}
     for v, b in zip(plan.vars, plan.bounds):
-        limits[v] = eval_arith_term(b, env, ctx)
+        limits[v] = b(env, ctx)
         if limits[v] <= 0:
             return False, None  # an empty range: the chain is false
     # positional condition: each coefficient dominates everything the
@@ -427,7 +565,7 @@ def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
             witness[v] = 0
     # the witness came out of arithmetic on the analysis; believe only an
     # honest evaluation of the matrix
-    if eval_arith(plan.atom, witness, ctx):
+    if plan.atom(witness, ctx):
         return True, witness
     return None, None
 
@@ -466,172 +604,240 @@ def _match_bit_guard(f: ArithFormula) -> "tuple[ArithTerm, ArithTerm] | None":
 # arithmetic formulas
 # ---------------------------------------------------------------------------
 
-def eval_arith(f: ArithFormula, env: "dict[str, int]",
-               ctx: EvalContext) -> bool:
-    if isinstance(f, ARel):
-        if f.op == "Dom":
-            eval_arith_term(f.args[0], env, ctx)
-            return True
-        if f.op == "OrdCode":
-            n = eval_arith_term(f.args[0], env, ctx)
-            return _ord_chain_index(n, ctx.code_budget) is not None
-        a = eval_arith_term(f.args[0], env, ctx)
-        b = eval_arith_term(f.args[1], env, ctx)
-        return a == b if f.op == "=" else a < b
-    if isinstance(f, ANot):
-        return not eval_arith(f.body, env, ctx)
-    if isinstance(f, AAnd):
-        return eval_arith(f.left, env, ctx) and eval_arith(f.right, env, ctx)
-    if isinstance(f, AOr):
-        return eval_arith(f.left, env, ctx) or eval_arith(f.right, env, ctx)
-    if isinstance(f, AImplies):
-        return (not eval_arith(f.left, env, ctx)) \
-            or eval_arith(f.right, env, ctx)
-    if isinstance(f, AForall):
-        return _eval_arith_forall(f, env, ctx)
-    if isinstance(f, AExists):
-        return _eval_arith_exists(f, env, ctx)
-    raise TypeError(f"not an arithmetic formula: {f!r}")
+def _equal(a, b):
+    return lambda env, ctx: a(env, ctx) == b(env, ctx)
 
 
-def _arith_range(f, env, ctx) -> "range":
-    if f.bound is None:
+def _less(a, b):
+    return lambda env, ctx: a(env, ctx) < b(env, ctx)
+
+
+def _dom(a):
+    def fn(env, ctx):
+        a(env, ctx)
+        return True
+    return fn
+
+
+#: arithmetic relation -> closure maker over the compiled arguments
+_ARITH_RELS = {
+    "=": _equal, "<": _less, "Dom": _dom,
+    "OrdCode": _op(lambda n, ctx:
+                   _ord_chain_index(n, ctx.code_budget) is not None),
+}
+
+
+def _arith_range(bound, env, ctx) -> "range":
+    if bound is None:
         return range(ctx.nat_cutoff)
-    n = eval_arith_term(f.bound, env, ctx)
+    n = bound(env, ctx)
     if n > ctx.enum_budget:
         raise BudgetExceeded(
             f"quantifier range {n} exceeds the enumeration budget")
     return range(n)
 
 
-def _guard_split(body, univ: bool):
-    """body as (guard, rest) for `guard -> rest` / `guard & rest`."""
-    if univ and isinstance(body, AImplies):
-        return body.left, body.right
-    if not univ and isinstance(body, AAnd):
-        return body.left, body.right
-    return None, body
+def _bit_guarded(f) -> "ArithFormula | None":
+    """`rest` when f reads `forall v < T. guard -> rest` or
+    `exists v < T. guard & rest` and its guard is the bit test of v in T:
+    then v ranges over the members of T, and only rest is evaluated."""
+    body = f.body
+    if f.bound is None or type(body) is not (
+            AImplies if type(f) is AForall else AAnd):
+        return None
+    hit = _match_bit_guard(body.left)
+    if hit is not None and hit[0] == AVar(f.var) and hit[1] == f.bound:
+        return body.right
+    return None
 
 
-def _eval_arith_forall(f: AForall, env, ctx) -> bool:
-    guard, rest = _guard_split(f.body, univ=True)
-    if guard is not None and f.bound is not None:
-        hit = _match_bit_guard(guard)
-        if hit is not None and hit[0] == AVar(f.var) and hit[1] == f.bound:
-            # v ranges over members: visit just the set bits of the host
-            host = eval_arith_term(f.bound, env, ctx)
+def _member_walk(univ: bool, var: str, bound, rest):
+    """v ranges over members: visit just the set bits of the host."""
+    if univ:
+        def fn(env, ctx):
+            host = bound(env, ctx)
             inner = dict(env)
             for i in _bit_positions(host):
-                inner[f.var] = i
-                if not eval_arith(rest, inner, ctx):
+                inner[var] = i
+                if not rest(inner, ctx):
                     return False
             return True
-    inner = dict(env)
-    for i in _arith_range(f, env, ctx):
-        inner[f.var] = i
-        if not eval_arith(f.body, inner, ctx):
-            return False
-    return True
-
-
-def _eval_arith_exists(f: AExists, env, ctx) -> bool:
-    guard, rest = _guard_split(f.body, univ=False)
-    if guard is not None and f.bound is not None:
-        hit = _match_bit_guard(guard)
-        if hit is not None and hit[0] == AVar(f.var) and hit[1] == f.bound:
-            host = eval_arith_term(f.bound, env, ctx)
+    else:
+        def fn(env, ctx):
+            host = bound(env, ctx)
             inner = dict(env)
             for i in _bit_positions(host):
-                inner[f.var] = i
-                if eval_arith(rest, inner, ctx):
+                inner[var] = i
+                if rest(inner, ctx):
                     return True
             return False
-    if ctx.solver and f.bound is not None:
-        if f not in _CHAIN_PLANS:
-            _CHAIN_PLANS[f] = _analyze_chain(f)
-        plan = _CHAIN_PLANS[f]
-        if plan is not None:
-            decided, _ = _solve_chain(plan, env, ctx)
-            if decided is not None:
-                return decided
-    inner = dict(env)
-    for i in _arith_range(f, env, ctx):
-        inner[f.var] = i
-        if eval_arith(f.body, inner, ctx):
-            return True
-    return False
+    return fn
+
+
+def _arith_forall(var: str, bound, body):
+    def fn(env, ctx):
+        inner = dict(env)
+        for i in _arith_range(bound, env, ctx):
+            inner[var] = i
+            if not body(inner, ctx):
+                return False
+        return True
+    return fn
+
+
+def _arith_exists(var: str, bound, body, bound_node, body_node):
+    plan = _UNSEEN  # the chain plan, analysed on the solver's first call
+
+    def fn(env, ctx):
+        nonlocal plan
+        if ctx.solver and bound is not None:
+            if plan is _UNSEEN:
+                plan = _chain_plan(var, bound_node, body_node)
+            if plan is not None:
+                decided, _ = _solve_chain(plan, env, ctx)
+                if decided is not None:
+                    return decided
+        inner = dict(env)
+        for i in _arith_range(bound, env, ctx):
+            inner[var] = i
+            if body(inner, ctx):
+                return True
+        return False
+    return fn
+
+
+def _compile_arith(f: ArithFormula):
+    fn = vars(f).get(_FN)
+    if fn is not None:
+        return fn
+    cls = type(f)
+    if cls is ARel:
+        args = []
+        for a in f.args:
+            args.append(_compile_arith_term(a))
+        fn = _ARITH_RELS[f.op](*args)
+    elif cls is ANot:
+        fn = _negation(_compile_arith(f.body))
+    elif cls in _BINARY:
+        fn = _BINARY[cls](_compile_arith(f.left), _compile_arith(f.right))
+    elif cls is AForall or cls is AExists:
+        univ = cls is AForall
+        bound = None if f.bound is None else _compile_arith_term(f.bound)
+        rest = _bit_guarded(f)
+        if rest is not None:
+            fn = _member_walk(univ, f.var, bound, _compile_arith(rest))
+        elif univ:
+            fn = _arith_forall(f.var, bound, _compile_arith(f.body))
+        else:
+            fn = _arith_exists(f.var, bound, _compile_arith(f.body),
+                               f.bound, f.body)
+    else:
+        raise TypeError(f"not an arithmetic formula: {f!r}")
+    return _store(f, fn)
 
 
 # ---------------------------------------------------------------------------
-# set terms and formulas
+# set terms
 # ---------------------------------------------------------------------------
 
-def eval_set_term(t: SetTerm, env: "dict[str, HFSet]",
-                  ctx: EvalContext) -> HFSet:
-    if isinstance(t, SVar):
-        return _lookup(env, t.name)
-    if isinstance(t, SEmpty):
-        return empty()
-    if isinstance(t, SLit):
-        # the n-th set along the ordering; realized through the coding,
-        # which provably enumerates the ordering
-        return decode(t.value, ctx.code_budget)
-    if isinstance(t, SEnum):
-        elems = []
-        for e in t.elems:
-            elems.append(eval_set_term(e, env, ctx))
-        return from_children(elems)
-    if isinstance(t, SSep):
-        dom = eval_set_term(t.dom, env, ctx)
+def _empty_set(env, ctx):
+    return empty()
+
+
+def _numeral(value: int):
+    # the n-th set along the ordering; realized through the coding, which
+    # provably enumerates the ordering
+    return lambda env, ctx: decode(value, ctx.code_budget)
+
+
+def _enumeration(elems: tuple):
+    def fn(env, ctx):
+        members = []
+        for e in elems:
+            members.append(e(env, ctx))
+        return from_children(members)
+    return fn
+
+
+def _set_sep(var: str, dom, body):
+    def fn(env, ctx):
+        host = dom(env, ctx)
         inner = dict(env)
 
         def pred(m: HFSet) -> bool:
-            inner[t.var] = m
-            return eval_set(t.body, inner, ctx)
+            inner[var] = m
+            return body(inner, ctx)
 
-        return separate(dom, pred)
-    if not isinstance(t, SOp):
+        return separate(host, pred)
+    return fn
+
+
+def _order_op(combine):
+    return _op(lambda x, y, ctx: combine(
+        x, y, ctx.mode, literal_cutoff=ctx.literal_cutoff,
+        enum_budget=ctx.enum_budget))
+
+
+def _cardof(x: HFSet, ctx) -> HFSet:
+    n = cardinal.card(x)
+    if n > ctx.enum_budget:
+        raise BudgetExceeded("cardinality exceeds the enumeration budget")
+    return order.ack_enum(n)
+
+
+#: set operation -> closure maker over the compiled arguments
+_SET_OPS = {
+    "pair": _op(lambda x, y, ctx: pair(x, y)),
+    "pset": _op(lambda x, ctx: powerset(x, ctx.enum_budget)),
+    "sum": _op(lambda x, ctx: sumset(x)),
+    "rank": _op(lambda x, ctx: materialize_level(x.rank + 1,
+                                                 ctx.enum_budget)),
+    "vns": _op(lambda x, ctx: adjoin(x, x)),
+    "osucc": _op(lambda x, ctx: order.successor_a(x)),
+    "oadd": _order_op(add_a), "omul": _order_op(mul_a),
+    "oexp": _order_op(exp_a),
+    "cadd": _op(lambda x, y, ctx: cardinal.card_add(x, y, ctx.enum_budget)),
+    "cmul": _op(lambda x, y, ctx: cardinal.product(x, y, ctx.enum_budget)),
+    "cexp": _op(lambda x, y, ctx: cardinal.card_exp(x, y, ctx.enum_budget)),
+    "cardof": _op(_cardof),
+    "vadd": _op(lambda x, y, ctx: ord_add(x, y)),
+    "vmul": _op(lambda x, y, ctx: ord_mul(x, y)),
+    "vexp": _op(lambda x, y, ctx: ord_exp(x, y, ctx.enum_budget)),
+}
+
+
+def _compile_set_term(t: SetTerm):
+    fn = vars(t).get(_FN)
+    if fn is not None:
+        return fn
+    cls = type(t)
+    if cls is SVar:
+        fn = _variable(t.name)
+    elif cls is SEmpty:
+        fn = _empty_set
+    elif cls is SLit:
+        fn = _numeral(t.value)
+    elif cls is SEnum:
+        elems = []
+        for e in t.elems:
+            elems.append(_compile_set_term(e))
+        fn = _enumeration(tuple(elems))
+    elif cls is SSep:
+        fn = _set_sep(t.var, _compile_set_term(t.dom), _compile_set(t.body))
+    elif cls is SOp:
+        args = []
+        for a in t.args:  # a loop, not a comprehension: one frame per level
+            args.append(_compile_set_term(a))
+        fn = _SET_OPS[t.op](*args)
+    else:
         raise TypeError(f"not a set term: {t!r}")
-    args = []
-    for a in t.args:  # a loop, not a comprehension: one frame per level
-        args.append(eval_set_term(a, env, ctx))
-    op = t.op
-    if op == "pair":
-        return pair(args[0], args[1])
-    if op == "pset":
-        return powerset(args[0], ctx.enum_budget)
-    if op == "sum":
-        return sumset(args[0])
-    if op == "rank":
-        return materialize_level(args[0].rank + 1, ctx.enum_budget)
-    if op == "vns":
-        return adjoin(args[0], args[0])
-    if op == "osucc":
-        return order.successor_a(args[0])
-    if op in ("oadd", "omul", "oexp"):
-        fn = {"oadd": add_a, "omul": mul_a, "oexp": exp_a}[op]
-        return fn(args[0], args[1], ctx.mode,
-                  literal_cutoff=ctx.literal_cutoff,
-                  enum_budget=ctx.enum_budget)
-    if op == "cadd":
-        return cardinal.card_add(args[0], args[1], ctx.enum_budget)
-    if op == "cmul":
-        return cardinal.product(args[0], args[1], ctx.enum_budget)
-    if op == "cexp":
-        return cardinal.card_exp(args[0], args[1], ctx.enum_budget)
-    if op == "cardof":
-        n = cardinal.card(args[0])
-        if n > ctx.enum_budget:
-            raise BudgetExceeded("cardinality exceeds the enumeration budget")
-        return order.ack_enum(n)
-    if op in ("vadd", "vmul", "vexp"):
-        if op == "vadd":
-            return ord_add(args[0], args[1])
-        if op == "vmul":
-            return ord_mul(args[0], args[1])
-        return ord_exp(args[0], args[1], ctx.enum_budget)
-    raise TypeError(f"unknown set operation {op!r}")
+    return _store(t, fn)
 
+
+# ---------------------------------------------------------------------------
+# the shortcuts of set quantifiers: order transport, order chains and
+# ordinal-graph witnesses
+# ---------------------------------------------------------------------------
 
 _ORDER_CODE_OPS = {"oadd": "+", "omul": "*", "oexp": "exp"}
 
@@ -662,34 +868,35 @@ def _order_code_form(t: SetTerm) -> "ArithTerm | None":
     return None
 
 
-_TRANSPORTS: "dict[SetFormula, ArithFormula | None]" = {}
+def _transport(f: SetFormula) -> "tuple | None":
+    """The code-side counterpart of a fully bounded set formula, compiled,
+    with the free variables to encode; None when a quantifier is
+    unbounded (cutoff semantics would not carry over).  Evaluating the
+    counterpart on codes is the fast route for order-bounded
+    subformulas; the honest walk stays available with the solver off and
+    is what literal mode uses."""
+    if not is_bounded(f):
+        return None
+    from .interp import translate_a
+    return _compile_arith(translate_a(f)), tuple(sorted(free_vars(f)))
 
 
-def _transport(f: SetFormula) -> "ArithFormula | None":
-    """The code-side counterpart of a fully bounded set formula, None
-    when a quantifier is unbounded (cutoff semantics would not carry
-    over).  Evaluating the counterpart on codes is the fast route for
-    order-bounded subformulas; the honest walk stays available with the
-    solver off and is what literal mode uses."""
-    if f not in _TRANSPORTS:
-        if is_bounded(f):
-            from .interp import translate_a
-            _TRANSPORTS[f] = translate_a(f)
-        else:
-            _TRANSPORTS[f] = None
-    return _TRANSPORTS[f]
+@dataclass(frozen=True)
+class _SetChain:
+    """An order-bounded existential chain transported to a code-side
+    chain plan, with the set-side matrix to re-verify witnesses against."""
+
+    plan: _ChainPlan
+    names: "tuple[str, ...]"       # the chain variables
+    needed: "tuple[str, ...]"      # outer variables the plan reads
+    matrix: SetFormula
+    check: object                  # the compiled matrix
 
 
-_SET_CHAIN_PLANS: "dict[SetFormula, tuple | None]" = {}
-
-
-def _analyze_set_chain(f: SExists) -> "tuple | None":
+def _set_chain(f: SExists) -> "_SetChain | None":
     """Recognize an order-bounded existential chain over order-arithmetic
-    terms and transport it to a code-side chain plan.
-
-    Returns (plan, matrix, names) where `matrix` is the set-side matrix
-    to re-verify witnesses against, or None when outside the fragment.
-    """
+    terms and transport it to a code-side chain plan; None outside the
+    fragment."""
     names, bounds = [], []
     body: SetFormula = f
     while isinstance(body, SExists):
@@ -707,58 +914,50 @@ def _analyze_set_chain(f: SExists) -> "tuple | None":
     rhs = _order_code_form(body.args[1])
     if lhs is None or rhs is None:
         return None
-    chain: ArithFormula = ARel("=", (lhs, rhs))
-    for v, b in zip(reversed(names), reversed(bounds)):
-        chain = AExists(v, b, chain)
-    plan = _analyze_chain(chain)
+    plan = _chain_plan(names[0], bounds[0], _nest_exists(
+        names[1:], bounds[1:], ARel("=", (lhs, rhs))))
     if plan is None:
         return None
-    return plan, body, tuple(names)
+    needed = set(free_vars(body))
+    for b in bounds:
+        needed |= free_vars(b)
+    return _SetChain(plan, tuple(names), tuple(sorted(needed - set(names))),
+                     body, _compile_set(body))
 
 
-def _solve_set_chain(f: SExists, env, ctx) -> "bool | None":
+def _nest_exists(names, bounds, matrix: ArithFormula) -> ArithFormula:
+    for v, b in zip(reversed(names), reversed(bounds)):
+        matrix = AExists(v, b, matrix)
+    return matrix
+
+
+def _solve_set_chain(chain: _SetChain, env, ctx) -> "bool | None":
     """Decide an order-bounded chain through the coding, re-verifying any
     witness with the set operations themselves (so literal mode still
     exercises the literal route once per decision)."""
-    if f not in _SET_CHAIN_PLANS:
-        _SET_CHAIN_PLANS[f] = _analyze_set_chain(f)
-    hit = _SET_CHAIN_PLANS[f]
-    if hit is None:
-        return None
-    plan, matrix, names = hit
-    needed = set(free_vars(matrix))
-    for b in plan.bounds:
-        needed |= free_vars(b)
     try:
         code_env = {v: encode(env[v], ctx.code_budget)
-                    for v in needed - set(names) if v in env}
+                    for v in chain.needed if v in env}
     except BudgetExceeded:
         return None
-    decided, witness = _solve_chain(plan, code_env, ctx)
+    decided, witness = _solve_chain(chain.plan, code_env, ctx)
     if decided is None:
         return None
     if decided is False:
         return False
     inner = dict(env)
-    for v in names:
+    for v in chain.names:
         inner[v] = decode(witness[v], ctx.code_budget)
-    if not eval_set(matrix, inner, ctx):
+    if not chain.check(inner, ctx):
         raise AssertionError(
             "order-chain transport and set evaluation disagree on "
-            f"{matrix!r} at {sorted((v, witness[v]) for v in names)}")
+            f"{chain.matrix!r} at "
+            f"{sorted((v, witness[v]) for v in chain.names)}")
     return True
 
 
-def _ord_graph(op: str, args: "list[HFSet]") -> bool:
-    x, y, z = args
-    try:
-        if op == "ordadd":
-            return ord_add(x, y) is z
-        if op == "ordmul":
-            return ord_mul(x, y) is z
-        return ord_exp(x, y) is z
-    except NotAnOrdinal:
-        return False
+#: ordinal graph relation -> the operation whose graph it is
+_ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
 
 
 def _conjuncts(f: SetFormula):
@@ -775,126 +974,180 @@ class _NoWitness:
 _NO_WITNESS = _NoWitness()
 
 
-def _graph_witness(f: SExists, env, ctx):
-    """Read the witness for `exists v. ... & ordop(a, b, v) & ...` off the
-    operation graph: no other value can satisfy that conjunct.
+def _graph_pins(var: str, body: SetFormula) -> tuple:
+    """The conjuncts that pin v in `exists v. ... & ordop(a, b, v) & ...`,
+    as (operation, compiled a, compiled b).
+
+    The pinning conjunct may sit underneath further unbounded
+    existentials (the shape term flattening builds), as long as it does
+    not mention their variables."""
+    shadowed: "set[str]" = set()
+    while isinstance(body, SExists) and body.bound is None \
+            and body.var != var:
+        shadowed.add(body.var)
+        body = body.body
+    pins = []
+    for c in _conjuncts(body):
+        if not (isinstance(c, SRel) and c.op in _ORD_GRAPHS
+                and c.args[2] == SVar(var)):
+            continue
+        argvars = free_vars(c.args[0]) | free_vars(c.args[1])
+        if var in argvars or argvars & shadowed:
+            continue
+        pins.append((c.op, _compile_set_term(c.args[0]),
+                     _compile_set_term(c.args[1])))
+    return tuple(pins)
+
+
+def _graph_witness(pins: tuple, env, ctx):
+    """Read the witness off the operation graph: no other value can
+    satisfy a pinning conjunct.
 
     Ordinal codes grow as towers, so enumeration cannot reach these
     witnesses; the extracted candidate is still checked by honestly
-    evaluating the whole body.  The pinning conjunct may sit underneath
-    further unbounded existentials (the shape term flattening builds), as
-    long as it does not mention their variables.  Returns an HFSet
-    candidate, _NO_WITNESS when the graph atom is unsatisfiable, or None
-    when no conjunct pins the variable.
+    evaluating the whole body.  Returns an HFSet candidate, _NO_WITNESS
+    when the graph atom is unsatisfiable, or None when no conjunct pins
+    the variable.
     """
-    ops = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
-    shadowed: "set[str]" = set()
-    body = f.body
-    while isinstance(body, SExists) and body.bound is None \
-            and body.var != f.var:
-        shadowed.add(body.var)
-        body = body.body
-    for c in _conjuncts(body):
-        if not (isinstance(c, SRel) and c.op in ops
-                and c.args[2] == SVar(f.var)):
-            continue
-        argvars = free_vars(c.args[0]) | free_vars(c.args[1])
-        if f.var in argvars or argvars & shadowed:
-            continue
+    for op, a, b in pins:
         try:
-            x = eval_set_term(c.args[0], env, ctx)
-            y = eval_set_term(c.args[1], env, ctx)
+            x = a(env, ctx)
+            y = b(env, ctx)
         except ValueError:
             continue  # refers to a variable not in scope yet
         try:
-            if c.op == "ordexp":
+            if op == "ordexp":
                 return ord_exp(x, y, ctx.enum_budget)
-            return ops[c.op](x, y)
+            return _ORD_GRAPHS[op](x, y)
         except NotAnOrdinal:
             return _NO_WITNESS
     return None
 
 
-def eval_set(f: SetFormula, env: "dict[str, HFSet]",
-             ctx: EvalContext) -> bool:
-    if isinstance(f, SRel):
-        if f.op == "Dom":
-            eval_set_term(f.args[0], env, ctx)
-            return True
-        args = [eval_set_term(a, env, ctx) for a in f.args]
-        if f.op == "in":
-            return mem(args[0], args[1])
-        if f.op == "=":
-            return args[0] is args[1]
-        if f.op == "<a":
-            return order.ack_less(args[0], args[1])
-        if f.op == "~c":
-            return cardinal.card_eq(args[0], args[1])
-        if f.op == "<c":
-            return cardinal.card_lt(args[0], args[1])
-        if f.op == "<=c":
-            return cardinal.inj_exists(args[0], args[1])
-        if f.op == "isord":
-            return is_ordinal(args[0])
-        if f.op in ("ordadd", "ordmul", "ordexp"):
-            return _ord_graph(f.op, args)
-        raise TypeError(f"unknown set relation {f.op!r}")
-    if isinstance(f, SNot):
-        return not eval_set(f.body, env, ctx)
-    if isinstance(f, SAnd):
-        return eval_set(f.left, env, ctx) and eval_set(f.right, env, ctx)
-    if isinstance(f, SOr):
-        return eval_set(f.left, env, ctx) or eval_set(f.right, env, ctx)
-    if isinstance(f, SImplies):
-        return (not eval_set(f.left, env, ctx)) \
-            or eval_set(f.right, env, ctx)
-    if isinstance(f, (SForall, SExists)):
-        univ = isinstance(f, SForall)
-        if not univ and f.bound is None and ctx.solver:
-            pinned = _graph_witness(f, env, ctx)
-            if pinned is _NO_WITNESS:
-                return False
-            if pinned is not None:
-                inner = dict(env)
-                inner[f.var] = pinned
-                return eval_set(f.body, inner, ctx)
-        if f.bound is not None and f.bound_kind == BOUND_ORDER \
-                and ctx.solver:
-            if ctx.mode == FAST:
-                g = _transport(f)
-                if g is not None:
-                    try:
-                        code_env = {v: encode(env[v], ctx.code_budget)
-                                    for v in free_vars(f) if v in env}
-                        return eval_arith(g, code_env, ctx)
-                    except BudgetExceeded:
-                        pass  # fall back to the honest walk
-            elif not univ:
-                decided = _solve_set_chain(f, env, ctx)
-                if decided is not None:
-                    return decided
-        inner = dict(env)
-        for x in _set_range(f, env, ctx):
-            inner[f.var] = x
-            value = eval_set(f.body, inner, ctx)
-            if univ and not value:
-                return False
-            if not univ and value:
-                return True
-        return univ
-    raise TypeError(f"not a set formula: {f!r}")
+# ---------------------------------------------------------------------------
+# set formulas
+# ---------------------------------------------------------------------------
+
+def _ord_graph(combine):
+    def holds(x: HFSet, y: HFSet, z: HFSet, ctx) -> bool:
+        try:
+            return combine(x, y) is z
+        except NotAnOrdinal:
+            return False
+    return _op(holds)
 
 
-def _set_range(f, env, ctx):
-    if f.bound is None:
-        return (decode(i) for i in range(ctx.set_cutoff))
-    bound = eval_set_term(f.bound, env, ctx)
-    if f.bound_kind == BOUND_MEMBER:
-        return iter(bound.children)
+def _membership(a, b):
+    return lambda env, ctx: mem(a(env, ctx), b(env, ctx))
+
+
+def _identity(a, b):
+    return lambda env, ctx: a(env, ctx) is b(env, ctx)
+
+
+#: set relation -> closure maker over the compiled arguments
+_SET_RELS = {
+    "Dom": _dom, "in": _membership, "=": _identity,
+    "<a": _op(lambda x, y, ctx: order.ack_less(x, y)),
+    "~c": _op(lambda x, y, ctx: cardinal.card_eq(x, y)),
+    "<c": _op(lambda x, y, ctx: cardinal.card_lt(x, y)),
+    "<=c": _op(lambda x, y, ctx: cardinal.inj_exists(x, y)),
+    "isord": _op(lambda x, ctx: is_ordinal(x)),
+    "ordadd": _ord_graph(ord_add), "ordmul": _ord_graph(ord_mul),
+    "ordexp": _ord_graph(ord_exp),
+}
+
+
+def _set_range(bound, order_bounded: bool, env, ctx):
+    if bound is None:
+        return map(decode, range(ctx.set_cutoff))
+    host = bound(env, ctx)
+    if not order_bounded:
+        return iter(host.children)
     # order-bounded: everything strictly before `bound`; the coding
     # enumerates the ordering, so walk codes
-    n = encode(bound, ctx.code_budget)
+    n = encode(host, ctx.code_budget)
     if n > ctx.enum_budget:
         raise BudgetExceeded(
             f"order segment of length {n} exceeds the enumeration budget")
-    return (decode(i) for i in range(n))
+    return map(decode, range(n))
+
+
+def _set_quantifier(f, body, bound):
+    """The closure of a set quantifier: its shortcuts, each tried only
+    with the solver on, then the honest walk.  The closure keeps the
+    quantifier's fields, not the node, so that the node and its closure
+    form no reference cycle."""
+    univ = type(f) is SForall
+    var = f.var
+    order_bounded = f.bound is not None and f.bound_kind == BOUND_ORDER
+    pins = () if univ or f.bound is not None else _graph_pins(var, f.body)
+    # the node again, for the plans resolved on first use
+    same = partial(type(f), var, f.bound, f.body, f.bound_kind)
+    transport = chain = _UNSEEN
+
+    def fn(env, ctx):
+        nonlocal transport, chain
+        if ctx.solver:
+            if pins:
+                pinned = _graph_witness(pins, env, ctx)
+                if pinned is _NO_WITNESS:
+                    return False
+                if pinned is not None:
+                    inner = dict(env)
+                    inner[var] = pinned
+                    return body(inner, ctx)
+            if order_bounded and ctx.mode == FAST:
+                if transport is _UNSEEN:
+                    transport = _transport(same())
+                if transport is not None:
+                    image, names = transport
+                    try:
+                        code_env = {v: encode(env[v], ctx.code_budget)
+                                    for v in names if v in env}
+                        return image(code_env, ctx)
+                    except BudgetExceeded:
+                        pass  # fall back to the honest walk
+            elif order_bounded and not univ:
+                if chain is _UNSEEN:
+                    chain = _set_chain(same())
+                if chain is not None:
+                    decided = _solve_set_chain(chain, env, ctx)
+                    if decided is not None:
+                        return decided
+        inner = dict(env)
+        if univ:
+            for x in _set_range(bound, order_bounded, env, ctx):
+                inner[var] = x
+                if not body(inner, ctx):
+                    return False
+            return True
+        for x in _set_range(bound, order_bounded, env, ctx):
+            inner[var] = x
+            if body(inner, ctx):
+                return True
+        return False
+    return fn
+
+
+def _compile_set(f: SetFormula):
+    fn = vars(f).get(_FN)
+    if fn is not None:
+        return fn
+    cls = type(f)
+    if cls is SRel:
+        args = []
+        for a in f.args:
+            args.append(_compile_set_term(a))
+        fn = _SET_RELS[f.op](*args)
+    elif cls is SNot:
+        fn = _negation(_compile_set(f.body))
+    elif cls in _BINARY:
+        fn = _BINARY[cls](_compile_set(f.left), _compile_set(f.right))
+    elif cls is SForall or cls is SExists:
+        fn = _set_quantifier(f, _compile_set(f.body),
+                             None if f.bound is None
+                             else _compile_set_term(f.bound))
+    else:
+        raise TypeError(f"not a set formula: {f!r}")
+    return _store(f, fn)

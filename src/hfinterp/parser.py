@@ -402,33 +402,34 @@ class _SetParser(_Parser):
         return SVar(tok.text)
 
 
-def parse_arith(text: str) -> "AForall | AExists | ARel | ANot | AAnd | AOr | AImplies":
-    """Parse an arithmetic formula."""
-    p = _ArithParser(text)
-    out = p.formula()
+def _parse(parser, rule: str, text: str):
+    """Run one rule of `parser` over the whole of `text`."""
+    p = parser(text)
+    try:
+        out = getattr(p, rule)()
+    except RecursionError:
+        # the descent takes several frames per nesting level; past the
+        # interpreter's recursion limit the input is refused, not crashed on
+        raise FormulaSyntaxError("formula nested too deeply") from None
     p.done()
     return out
+
+
+def parse_arith(text: str) -> "AForall | AExists | ARel | ANot | AAnd | AOr | AImplies":
+    """Parse an arithmetic formula."""
+    return _parse(_ArithParser, "formula", text)
 
 
 def parse_arith_term(text: str):
     """Parse an arithmetic term."""
-    p = _ArithParser(text)
-    out = p.term()
-    p.done()
-    return out
+    return _parse(_ArithParser, "term", text)
 
 
 def parse_set(text: str):
     """Parse a set formula."""
-    p = _SetParser(text)
-    out = p.formula()
-    p.done()
-    return out
+    return _parse(_SetParser, "formula", text)
 
 
 def parse_set_term(text: str):
     """Parse a set term."""
-    p = _SetParser(text)
-    out = p.term()
-    p.done()
-    return out
+    return _parse(_SetParser, "term", text)

@@ -176,6 +176,28 @@ def test_flat_sum_translates(capsys):
     assert out == "0e = " + " +a ".join(["#1"] * 600) + "\n"
 
 
+NESTED_SUCC = "0 = " + "S(" * 250 + "0" + ")" * 250
+
+
+def test_deeply_nested_term_is_a_syntax_error(capsys):
+    # the parser takes several frames per parenthesised application
+    rc, out, err = run(capsys, "eval", "--arith", NESTED_SUCC)
+    assert (rc, out) == (64, "")
+    assert err == "syntax error: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # map o turns each + into an existential and a conjunction, so the
+    # image of a 500-term sum is about 1000 formula levels deep
+    ("translate", "--map", "o", "0 = " + "+".join(["1"] * 500)),
+    ("encode", "{" * 3000 + "}" * 3000),
+], ids=["translate-o", "encode"])
+def test_too_deep_input_is_a_budget_incompletion(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "budget: input nested too deeply for the recursion limit\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ tests here pin them against each other operation by operation; the
 random cross-language tests live with the translations.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfinterp import cardinal
-from hfinterp.arith import LITERAL
+from hfinterp import cardinal, evaluate
+from hfinterp.arith import FAST, LITERAL
 from hfinterp.core import (
     decode,
     encode,
@@ -48,13 +50,16 @@ from hfinterp.formulas import (
     SOp,
     SRel,
     SVar,
+    free_vars,
 )
+from hfinterp.interp import translate_d
 from hfinterp.parser import (
     parse_arith,
     parse_arith_term,
     parse_set,
     parse_set_term,
 )
+from hfinterp.verify import load_annotated_corpus, membership_bit_formula
 
 CTX = EvalContext()
 
@@ -428,3 +433,61 @@ def test_mode_switch_is_visible_on_context():
     with pytest.raises(BudgetExceeded):
         eval_set_term(parse_set_term("x +a x"), {"x": big},
                       lit)  # the literal route refuses codes past its cutoff
+
+
+# ---------------------------------------------------------------------------
+# bounded memory: compiled forms live on their trees, not in the module
+# ---------------------------------------------------------------------------
+
+#: the four routes, with small cutoffs and budgets so every line is quick
+ROUTES = tuple(EvalContext(nat_cutoff=8, set_cutoff=8, enum_budget=1 << 12,
+                           mode=mode, solver=solver)
+               for mode in (FAST, LITERAL) for solver in (True, False))
+
+
+def _evaluate_everywhere(evaluate, f, env):
+    for ctx in ROUTES:
+        try:
+            evaluate(f, env, ctx)
+        except BudgetExceeded:
+            pass
+
+
+@pytest.mark.parametrize("build, evaluate, env", [
+    # a linear chain: the solver plans it on first use
+    (lambda: parse_arith("exists y < 40. exists z < 4. y = 4 * z + x"),
+     eval_arith, {"x": 3}),
+    # the membership read back into sets: order transport, order chains
+    # and the honest walk all run on it
+    (lambda: translate_d(membership_bit_formula()), eval_set,
+     {"x": decode(2), "y": decode(5)}),
+], ids=["arith", "membership"])
+def test_evaluated_formula_is_freed_with_its_tree(build, evaluate, env):
+    f = build()
+    _evaluate_everywhere(evaluate, f, env)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def _module_containers() -> dict:
+    return {name: len(value) for name, value in vars(evaluate).items()
+            if isinstance(value, (dict, set, list))
+            and not name.startswith("__")}
+
+
+def test_evaluating_the_corpora_grows_no_module_container():
+    before = _module_containers()
+    assert before  # the operation tables, at least
+    for corpus in ("arith.txt", "set.txt", "opei.txt", "separation.txt"):
+        for _, text in load_annotated_corpus(corpus):
+            if corpus == "arith.txt":
+                f, evaluate = parse_arith(text), eval_arith
+                env = {v: 5 for v in free_vars(f)}
+            else:
+                f, evaluate = parse_set(text), eval_set
+                env = {v: decode(5) for v in free_vars(f)}
+            _evaluate_everywhere(evaluate, f, env)
+    assert _module_containers() == before
+
