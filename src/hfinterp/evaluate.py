@@ -36,6 +36,16 @@ order transport of an order-bounded set quantifier (its `translate_a`
 image, compiled, with its free variables) and the order-chain plan of
 an order-bounded set existential (with the variables it encodes).
 
+Loop-invariant terms (code motion with Michie's memo functions, 1968).
+In the body of each binder (quantifier or separation term), every
+maximal costly term that mentions neither the binder's variable nor one
+bound inside the body gets a one-entry memo: costly is any set term but
+a variable, 0e or a numeral, and any arithmetic term but a variable, a
+literal, S, + or *.  The key is the context's identity and the values of
+the term's free variables; only values are kept, so a raise repeats,
+and nothing is computed before the first call.  The memo is a closure
+cell of the closure stored on the term's node, freed with its tree.
+
 Nothing from the context is compiled in: the closures read
 `ctx.solver`, `ctx.mode`, the cutoffs, the budgets and
 `ctx.literal_cutoff` when they run, so one compiled tree serves every
@@ -50,6 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import itemgetter
 
 from . import cardinal, order
 from .arith import FAST, add_a, exp_a, mul_a
@@ -218,6 +229,53 @@ _UNSEEN = object()
 
 
 # ---------------------------------------------------------------------------
+# loop-invariant terms, each behind a one-entry memo (module docstring)
+# ---------------------------------------------------------------------------
+
+def _inside(scope, var: str):
+    """The scope of a binder's body: the variables of the loops around it,
+    outermost first and numbered from 1; the bits of the loops still open
+    to a memo; the free variables of the tree's terms, by node id."""
+    loops, open_, known = scope or ((), 0, {})
+    return loops + (var,), open_ | 2 << len(loops), known
+
+
+def _hoist(t, scope):
+    """(the key variables of t's memo or None; the scope of t's subtrees)
+    for a term other than a variable or a literal.  A costly term that is
+    invariant in an open loop gets a memo and closes that loop and every
+    loop inside it to its own subterms, so only maximal terms get one."""
+    if scope is None or not scope[1] or \
+            type(t) is AOp and t.op in ("S", "+", "*"):
+        return None, scope
+    loops, open_, known = scope
+    free = free_vars(t, known)
+    level = len(loops)  # ends at the innermost loop binding a variable of t
+    while level and loops[level - 1] not in free:
+        level -= 1
+    if open_ >> level <= 1:  # no open loop past that one
+        return None, scope
+    return tuple(free), (loops, open_ & (2 << level) - 1, known)
+
+
+def _memo(fn, names: "tuple[str, ...]"):
+    """fn behind a one-entry memo keyed on ctx and the values of names."""
+    get = itemgetter(*names) if names else lambda env: ()
+    last = None  # (ctx, key, value) of the last call that returned
+
+    def memo(env, ctx):
+        nonlocal last
+        try:
+            key = get(env)
+        except KeyError:
+            return fn(env, ctx)  # raises "unbound variable" as it should
+        if last is None or last[0] is not ctx or last[1] != key:
+            last = ctx, key, fn(env, ctx)
+        return last[2]
+    return memo
+
+
+# ---------------------------------------------------------------------------
 # arithmetic terms
 # ---------------------------------------------------------------------------
 
@@ -315,12 +373,13 @@ def _cmul_code(s: int, t: int, budget: int) -> int:
     return out
 
 
-def _cexp_code(s: int, t: int, budget: int) -> int:
+def _cexp_code(s: int, t: int, ctx) -> int:
+    budget = ctx.code_budget
     xs = list(_bit_positions(s))
     ys = list(_bit_positions(t))
     if not ys:
         return 1  # the empty graph is the only function: the code of {0e}
-    if xs and len(xs) ** len(ys) > DEFAULT_ENUM_BUDGET:
+    if xs and len(xs) ** len(ys) > ctx.enum_budget:
         raise BudgetExceeded("function space exceeds the enumeration budget")
     out = 0
     for values in itertools.product(xs, repeat=len(ys)):
@@ -378,7 +437,7 @@ _ARITH_OPS = {
     "ordexpc": _ord_code_op("ordexpc", lambda i, j: i ** j),
     "caddc": _op(lambda s, t, ctx: _cadd_code(s, t, ctx.code_budget)),
     "cmulc": _op(lambda s, t, ctx: _cmul_code(s, t, ctx.code_budget)),
-    "cexpc": _op(lambda s, t, ctx: _cexp_code(s, t, ctx.code_budget)),
+    "cexpc": _op(_cexp_code),
 }
 
 
@@ -395,27 +454,28 @@ def _arith_sep(var: str, bound, body):
     return fn
 
 
-def _compile_arith_term(t: ArithTerm):
+def _compile_arith_term(t: ArithTerm, scope=None):
     fn = vars(t).get(_FN)
     if fn is not None:
         return fn
     cls = type(t)
     if cls is AVar:
-        fn = _variable(t.name)
-    elif cls is ALit:
+        return _store(t, _variable(t.name))
+    if cls is ALit:
         value = t.value
-        fn = lambda env, ctx: value  # noqa: E731
-    elif cls is ASep:
-        fn = _arith_sep(t.var, _compile_arith_term(t.bound),
-                        _compile_arith(t.body))
+        return _store(t, lambda env, ctx: value)
+    names, scope = _hoist(t, scope)
+    if cls is ASep:
+        fn = _arith_sep(t.var, _compile_arith_term(t.bound, scope),
+                        _compile_arith(t.body, _inside(scope, t.var)))
     elif cls is AOp:
         args = []
         for a in t.args:  # a loop, not a comprehension: one frame per level
-            args.append(_compile_arith_term(a))
+            args.append(_compile_arith_term(a, scope))
         fn = _ARITH_OPS[t.op](*args)
     else:
         raise TypeError(f"not an arithmetic term: {t!r}")
-    return _store(t, fn)
+    return _store(t, fn if names is None else _memo(fn, names))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +766,7 @@ def _arith_exists(var: str, bound, body, bound_node, body_node):
     return fn
 
 
-def _compile_arith(f: ArithFormula):
+def _compile_arith(f: ArithFormula, scope=None):
     fn = vars(f).get(_FN)
     if fn is not None:
         return fn
@@ -714,22 +774,25 @@ def _compile_arith(f: ArithFormula):
     if cls is ARel:
         args = []
         for a in f.args:
-            args.append(_compile_arith_term(a))
+            args.append(_compile_arith_term(a, scope))
         fn = _ARITH_RELS[f.op](*args)
     elif cls is ANot:
-        fn = _negation(_compile_arith(f.body))
+        fn = _negation(_compile_arith(f.body, scope))
     elif cls in _BINARY:
-        fn = _BINARY[cls](_compile_arith(f.left), _compile_arith(f.right))
+        fn = _BINARY[cls](_compile_arith(f.left, scope),
+                          _compile_arith(f.right, scope))
     elif cls is AForall or cls is AExists:
         univ = cls is AForall
-        bound = None if f.bound is None else _compile_arith_term(f.bound)
+        bound = None if f.bound is None \
+            else _compile_arith_term(f.bound, scope)
+        inner = _inside(scope, f.var)
         rest = _bit_guarded(f)
         if rest is not None:
-            fn = _member_walk(univ, f.var, bound, _compile_arith(rest))
+            fn = _member_walk(univ, f.var, bound, _compile_arith(rest, inner))
         elif univ:
-            fn = _arith_forall(f.var, bound, _compile_arith(f.body))
+            fn = _arith_forall(f.var, bound, _compile_arith(f.body, inner))
         else:
-            fn = _arith_exists(f.var, bound, _compile_arith(f.body),
+            fn = _arith_exists(f.var, bound, _compile_arith(f.body, inner),
                                f.bound, f.body)
     else:
         raise TypeError(f"not an arithmetic formula: {f!r}")
@@ -739,10 +802,6 @@ def _compile_arith(f: ArithFormula):
 # ---------------------------------------------------------------------------
 # set terms
 # ---------------------------------------------------------------------------
-
-def _empty_set(env, ctx):
-    return empty()
-
 
 def _numeral(value: int):
     # the n-th set along the ordering; realized through the coding, which
@@ -806,32 +865,34 @@ _SET_OPS = {
 }
 
 
-def _compile_set_term(t: SetTerm):
+def _compile_set_term(t: SetTerm, scope=None):
     fn = vars(t).get(_FN)
     if fn is not None:
         return fn
     cls = type(t)
     if cls is SVar:
-        fn = _variable(t.name)
-    elif cls is SEmpty:
-        fn = _empty_set
-    elif cls is SLit:
-        fn = _numeral(t.value)
-    elif cls is SEnum:
+        return _store(t, _variable(t.name))
+    if cls is SEmpty:
+        return _store(t, lambda env, ctx: empty())
+    if cls is SLit:
+        return _store(t, _numeral(t.value))
+    names, scope = _hoist(t, scope)
+    if cls is SEnum:
         elems = []
         for e in t.elems:
-            elems.append(_compile_set_term(e))
+            elems.append(_compile_set_term(e, scope))
         fn = _enumeration(tuple(elems))
     elif cls is SSep:
-        fn = _set_sep(t.var, _compile_set_term(t.dom), _compile_set(t.body))
+        fn = _set_sep(t.var, _compile_set_term(t.dom, scope),
+                      _compile_set(t.body, _inside(scope, t.var)))
     elif cls is SOp:
         args = []
         for a in t.args:  # a loop, not a comprehension: one frame per level
-            args.append(_compile_set_term(a))
+            args.append(_compile_set_term(a, scope))
         fn = _SET_OPS[t.op](*args)
     else:
         raise TypeError(f"not a set term: {t!r}")
-    return _store(t, fn)
+    return _store(t, fn if names is None else _memo(fn, names))
 
 
 # ---------------------------------------------------------------------------
@@ -967,11 +1028,7 @@ def _conjuncts(f: SetFormula):
     yield f
 
 
-class _NoWitness:
-    pass
-
-
-_NO_WITNESS = _NoWitness()
+_NO_WITNESS = object()
 
 
 def _graph_pins(var: str, body: SetFormula) -> tuple:
@@ -1130,7 +1187,7 @@ def _set_quantifier(f, body, bound):
     return fn
 
 
-def _compile_set(f: SetFormula):
+def _compile_set(f: SetFormula, scope=None):
     fn = vars(f).get(_FN)
     if fn is not None:
         return fn
@@ -1138,16 +1195,17 @@ def _compile_set(f: SetFormula):
     if cls is SRel:
         args = []
         for a in f.args:
-            args.append(_compile_set_term(a))
+            args.append(_compile_set_term(a, scope))
         fn = _SET_RELS[f.op](*args)
     elif cls is SNot:
-        fn = _negation(_compile_set(f.body))
+        fn = _negation(_compile_set(f.body, scope))
     elif cls in _BINARY:
-        fn = _BINARY[cls](_compile_set(f.left), _compile_set(f.right))
+        fn = _BINARY[cls](_compile_set(f.left, scope),
+                          _compile_set(f.right, scope))
     elif cls is SForall or cls is SExists:
-        fn = _set_quantifier(f, _compile_set(f.body),
+        fn = _set_quantifier(f, _compile_set(f.body, _inside(scope, f.var)),
                              None if f.bound is None
-                             else _compile_set_term(f.bound))
+                             else _compile_set_term(f.bound, scope))
     else:
         raise TypeError(f"not a set formula: {f!r}")
     return _store(f, fn)

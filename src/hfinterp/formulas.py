@@ -381,22 +381,31 @@ def rebuild(node, kids):
 _NO_VARS: "frozenset[str]" = frozenset()
 
 
-def free_vars(node) -> "frozenset[str]":
-    """Free variable names of a term or formula (either language)."""
+def free_vars(node, known: "dict | None" = None) -> "frozenset[str]":
+    """Free variable names of a term or formula (either language).
+
+    With a dict `known`, the answer for every subtree visited is kept in
+    it under the subtree's id, so asking again about any part of the
+    same tree costs one lookup."""
     cls = type(node)
-    if cls is AVar or cls is SVar:
-        return frozenset((node.name,))
+    if not cls.child_fields:  # a variable or a literal
+        return frozenset((node.name,)) if cls is AVar or cls is SVar \
+            else _NO_VARS
+    if known is not None and id(node) in known:
+        return known[id(node)]
     out = _NO_VARS
     for name in cls.child_fields:
         child = getattr(node, name)
         if type(child) is tuple:
             for c in child:
-                out = out | free_vars(c)
+                out = out | free_vars(c, known)
         elif child is not None:
-            inner = free_vars(child)
+            inner = free_vars(child, known)
             if cls.binder and name == "body":
                 inner = inner - {node.var}
             out = out | inner if out else inner
+    if known is not None:
+        known[id(node)] = out
     return out
 
 

@@ -134,6 +134,18 @@ def test_eval_budget_exhaustion(capsys):
     assert rc == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--set", "expc(x, y) = expc(x, y)", "-b", "x=#3", "-b", "y=#3"),
+    # the code-side image reads the same budget
+    ("--arith", "cexpc(x, y) = cexpc(x, y)", "-b", "x=3", "-b", "y=3"),
+], ids=["set", "arith"])
+def test_function_space_past_the_enum_budget(capsys, argv):
+    # 2^2 functions from a two-member set to itself, against a budget of 2
+    rc, out, err = run(capsys, "eval", *argv, "--enum-budget", "2")
+    assert (rc, out) == (2, "")
+    assert "function space exceeds the enumeration budget" in err
+
+
 def test_eval_literal_mode_small_values(capsys):
     rc, out, _ = run(capsys, "eval", "--arith", "2 + 3 = 5",
                      "--mode", "literal")

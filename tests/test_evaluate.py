@@ -8,8 +8,10 @@ random cross-language tests live with the translations.
 """
 
 import gc
+import itertools
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,7 @@ from hfinterp.formulas import (
     SOp,
     SRel,
     SVar,
+    children,
     free_vars,
 )
 from hfinterp.interp import translate_d
@@ -436,6 +439,127 @@ def test_mode_switch_is_visible_on_context():
 
 
 # ---------------------------------------------------------------------------
+# loop-invariant terms: a memo each, exact under every context
+# ---------------------------------------------------------------------------
+
+def _memoized(node) -> bool:
+    """Whether the compiled closure stored on node is a loop-invariant
+    memo."""
+    fn = vars(node).get("_compiled")
+    return fn is not None and fn.__qualname__.startswith("_memo.")
+
+
+def _nodes(f) -> list:
+    out, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(children(node))
+    return out
+
+
+def test_only_maximal_invariant_costly_terms_get_a_memo():
+    # exists n <a y. exists m <a expa(#2, x).
+    #     y = expa(#2, x +a #1) *a n +a expa(#2, x) +a m
+    f = translate_d(membership_bit_formula())
+    assert eval_set(f, {"x": decode(1), "y": decode(2)},
+                    EvalContext(solver=False))
+    inner = f.body
+    rhs = inner.body.args[1]
+    near = rhs.args[0]  # expa(#2, x +a #1) *a n +a expa(#2, x): not m
+    want = {id(inner.bound), id(near), id(near.args[0].args[0]),
+            id(near.args[1])}  # and the two expa(...) terms: not n either
+    assert {id(t) for t in _nodes(f) if _memoized(t)} == want
+    # its source: + and * are cheap, so only the three exp terms
+    g = membership_bit_formula()
+    assert eval_arith(g, {"x": 1, "y": 2}, EvalContext(solver=False))
+    near = g.body.body.args[1].args[0]
+    want = {id(g.body.bound), id(near.args[0].args[0]), id(near.args[1])}
+    assert {id(t) for t in _nodes(g) if _memoized(t)} == want
+
+
+@pytest.mark.parametrize("evaluate, text, env", [
+    (eval_arith, "forall i < 0. cexpc(x, x) = 0", {"x": 3}),
+    (eval_arith, "forall i < 2. i = 9 -> cexpc(x, x) = 0", {"x": 3}),
+    (eval_set, "forall u in 0e. expc(x, x) = 0e", {"x": decode(3)}),
+    (eval_set, "forall u in y. u = #9 -> expc(x, x) = 0e",
+     {"x": decode(3), "y": decode(7)}),
+], ids=["arith-empty", "arith-guard", "set-empty", "set-guard"])
+def test_memoized_term_is_evaluated_only_when_the_walk_reaches_it(
+        evaluate, text, env):
+    tight = EvalContext(enum_budget=2)  # 2^2 functions from #3 to #3
+    parse, term = (parse_arith, eval_arith_term) if evaluate is eval_arith \
+        else (parse_set, eval_set_term)
+    f = parse(text)
+    for ctx in (tight, tight.with_mode(LITERAL),
+                replace(tight, solver=False)):
+        assert evaluate(f, env, ctx)
+    costly = [t for t in _nodes(f) if _memoized(t)]
+    assert len(costly) == 1
+    with pytest.raises(BudgetExceeded):
+        term(costly[0], env, tight)
+
+
+@pytest.mark.parametrize("evaluate, text, env", [
+    (eval_arith, "forall i < 2. cexpc(x, x) = cexpc(x, x)", {"x": 3}),
+    (eval_set, "forall u in y. expc(x, x) = expc(x, x)",
+     {"x": decode(3), "y": decode(1)}),
+], ids=["arith", "set"])
+def test_memo_never_answers_for_a_tighter_budget(evaluate, text, env):
+    f = parse_arith(text) if evaluate is eval_arith else parse_set(text)
+    roomy, tight = EvalContext(enum_budget=4096), EvalContext(enum_budget=2)
+    assert evaluate(f, env, roomy)
+    with pytest.raises(BudgetExceeded):
+        evaluate(f, env, tight)
+    assert evaluate(f, env, roomy)
+
+
+def test_memo_never_answers_literal_mode_with_a_fast_value(monkeypatch):
+    calls = []
+    real = cardinal.card_exp
+    monkeypatch.setattr(cardinal, "card_exp",
+                        lambda *a: calls.append(a) or real(*a))
+    f = parse_set("forall u in y. expa(x, #2) = expa(#3, #2)")
+    env = {"x": decode(3), "y": decode(1)}
+    literal = EvalContext(mode=LITERAL)
+    assert eval_set(f, env, CTX) and not calls
+    assert eval_set(f, env, literal)
+    assert len(calls) == 2  # one per expa term
+    assert eval_set(f, env, literal) and len(calls) == 2  # the same context
+    assert eval_set(f, env, EvalContext(mode=LITERAL))  # an equal one
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("evaluate, text", [
+    (eval_arith, "forall i < 3. exp(2, x) = i"),
+    (eval_set, "forall u in #3. U(x) = u"),
+], ids=["arith", "set"])
+def test_memoized_term_with_an_unbound_variable_raises_value_error(
+        evaluate, text):
+    f = parse_arith(text) if evaluate is eval_arith else parse_set(text)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unbound variable 'x'"):
+            evaluate(f, {}, CTX)
+    assert any(_memoized(t) for t in _nodes(f))
+
+
+def test_literal_walk_builds_each_invariant_exponential_once(monkeypatch):
+    """The honest literal walk of the membership formula builds the two
+    `expa` segments once per evaluation, not once per (n, m)."""
+    calls = []
+    real = cardinal.card_exp
+    monkeypatch.setattr(cardinal, "card_exp",
+                        lambda *a: calls.append(a) or real(*a))
+    ctx = EvalContext(mode=LITERAL, solver=False)
+    for cx, cy in itertools.product(range(4), repeat=2):
+        f = translate_d(membership_bit_formula())  # no memo filled yet
+        del calls[:]
+        got = eval_set(f, {"x": decode(cx), "y": decode(cy)}, ctx)
+        assert got == bool(cy >> cx & 1)
+        assert len(calls) <= 3, (cx, cy, len(calls))
+
+
+# ---------------------------------------------------------------------------
 # bounded memory: compiled forms live on their trees, not in the module
 # ---------------------------------------------------------------------------
 
@@ -461,7 +585,11 @@ def _evaluate_everywhere(evaluate, f, env):
     # and the honest walk all run on it
     (lambda: translate_d(membership_bit_formula()), eval_set,
      {"x": decode(2), "y": decode(5)}),
-], ids=["arith", "membership"])
+    # loop-invariant terms behind memos that hold values and a context
+    (lambda: parse_set("forall u in y. u in P(x) | "
+                       "expc(x, x) = sep(v in P(x), u in v)"), eval_set,
+     {"x": decode(3), "y": decode(5)}),
+], ids=["arith", "membership", "memo"])
 def test_evaluated_formula_is_freed_with_its_tree(build, evaluate, env):
     f = build()
     _evaluate_everywhere(evaluate, f, env)
