@@ -97,11 +97,14 @@ def mul_a(x: HFSet, y: HFSet, mode: str = FAST, *,
 
 def exp_a(x: HFSet, y: HFSet, mode: str = FAST, *,
           literal_cutoff: int = DEFAULT_LITERAL_CUTOFF,
-          enum_budget: int = DEFAULT_ENUM_BUDGET) -> HFSet:
-    """Ordering exponentiation: segment ~ function space of the segments."""
+          enum_budget: int = DEFAULT_ENUM_BUDGET,
+          code_budget: int = DEFAULT_BIT_BUDGET) -> HFSet:
+    """Ordering exponentiation: segment ~ function space of the segments.
+    The fast route refuses a result past `code_budget` bits (with the
+    64 bits of slack the arithmetic side's exp allows)."""
     if mode == FAST:
         cx, cy = encode(x), encode(y)
-        if cx >= 2 and cy * (cx.bit_length()) > DEFAULT_BIT_BUDGET + 64:
+        if cx >= 2 and cy * (cx.bit_length()) > code_budget + 64:
             raise BudgetExceeded("exponentiation result exceeds bit budget")
         return decode(cx ** cy)
     a = _segment_field(x, literal_cutoff)

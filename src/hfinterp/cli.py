@@ -57,7 +57,7 @@ def _add_context_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=(FAST, LITERAL), default=FAST,
                    help="route for the order-arithmetic operations")
     p.add_argument("--no-solver", action="store_true",
-                   help="disable quantifier shortcuts; enumerate honestly")
+                   help="turn off the quantifier deciders; walk each domain")
 
 
 def _context(args: argparse.Namespace) -> EvalContext:

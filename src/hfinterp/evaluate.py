@@ -7,34 +7,55 @@ never routes back through the set operations it talks about.  Set
 formulas are evaluated over the hereditarily finite sets using the core
 operations.
 
-Quantifiers: a bounded quantifier enumerates honestly below its bound
-(raising BudgetExceeded past the enumeration budget); an unbounded one
-is truncated to the context's cutoff, which is good enough for the
-finite instances this package checks and is reported as such by the CLI.
-
-The one piece of cleverness is the solver for bounded existential
-chains whose matrix is a single linear equation in the quantified
-variables (the shape the membership translation produces): when the
-coefficients form a positional number system the witness is read off by
-repeated divmod and then re-checked by honest evaluation.  Everything
-else falls back to enumeration.
-
 Compilation.  `eval_arith`, `eval_set`, `eval_arith_term` and
 `eval_set_term` compile a tree into nested closures ``fn(env, ctx)`` the
 first time they meet it (closure code generation, after Feeley and
-Lapalme, "Using closures for code generation", 1987).  Each node's
+Lapalme, "Using closures for code generation", 1987).  One function,
+`_compile`, serves every node class of both languages, and looks the
+operations and relations up by the node's class and symbol.  Each node's
 closure is stored on the node itself, in the frozen dataclass's
-``__dict__`` as `order.LinearOrder.index` stores its index, so a
-compiled form lives and dies with its tree and no module-level table
-is keyed by formulas.  Resolved when a node is compiled: its class and
-operator (one specialised closure each), the bit-guard match of a
-bounded arithmetic quantifier and the candidate conjuncts of the
-ordinal-graph witness.  Resolved on first use and then kept in the
-quantifier's closure: the chain plan of a bounded arithmetic
-existential (its coefficient, constant and bound terms compiled), the
-order transport of an order-bounded set quantifier (its `translate_a`
-image, compiled, with its free variables) and the order-chain plan of
-an order-bounded set existential (with the variables it encodes).
+``__dict__`` as `order.LinearOrder.index` stores its index, so a compiled
+form lives and dies with its tree and no module-level table is keyed by
+formulas.  Compiling and running both take one Python frame per tree
+level.
+
+Quantifiers.  Every quantifier of either language runs one loop,
+`_quantify`: it asks the quantifier's deciders, then walks its domain
+honestly.  The domain is chosen at compile time: the numbers below the
+bound, the members of a set bound, or the sets before it in the order
+(each raising BudgetExceeded past the enumeration budget); an unbounded
+quantifier is truncated to the context's cutoff, which is good enough
+for the finite instances this package checks and is reported as such by
+the CLI.  One more domain is the member walk: when an arithmetic
+quantifier reads `forall v < T. guard -> rest` or `exists v < T. guard &
+rest` and its guard is the bit formula of v in T
+(`interp.bit_formula_parts`), v ranges over the set bits of T and only
+rest is evaluated.  Being a domain, the member walk runs on both solver
+routes.
+
+Deciders.  A decider is a function ``decide(env, ctx)`` that returns
+True or False when it settles the quantifier and None to fall through;
+the chain solver's true answer is its witness, a nonempty dict.  A
+quantifier's deciders run only when ``ctx.solver`` is on, in a fixed
+order, before the walk.  Each is built by its maker on the first call in
+a mode it runs in and kept in the quantifier's closure; one whose maker
+finds that it does not apply is dropped:
+
+- the chain solver, for a bounded arithmetic existential chain whose
+  matrix is a single linear equation in the chain's variables (the shape
+  the membership translation produces): when the coefficients form a
+  positional number system the witness is read off by repeated divmod,
+  and believed only after an honest evaluation of the matrix;
+- the graph witness, for an unbounded set existential whose variable is
+  pinned by an ordinal graph atom `ordop(a, b, v)` among the body's
+  conjuncts: no other value can satisfy it, so the body is evaluated on
+  that one candidate;
+- the order transport, in fast mode, for an order-bounded set quantifier
+  over a fully bounded body: its `interp.translate_a` image is evaluated
+  on the codes;
+- the order chain, outside fast mode, for an order-bounded set
+  existential chain over order-arithmetic terms: the chain solver runs on
+  the codes, and its witness is re-checked with the set operations.
 
 Loop-invariant terms (code motion with Michie's memo functions, 1968).
 In the body of each binder (quantifier or separation term), every
@@ -49,10 +70,7 @@ cell of the closure stored on the term's node, freed with its tree.
 Nothing from the context is compiled in: the closures read
 `ctx.solver`, `ctx.mode`, the cutoffs, the budgets and
 `ctx.literal_cutoff` when they run, so one compiled tree serves every
-context.  With ``solver=False`` no shortcut runs; a chain witness is
-believed only after an honest evaluation of the compiled atom, and an
-order-chain witness is re-checked with the set operations.  Compiling
-and running both take one Python frame per tree level.
+context.
 """
 
 from __future__ import annotations
@@ -120,6 +138,7 @@ from .formulas import (
     free_vars,
     is_bounded,
 )
+from .interp import bit_formula_parts, translate_a
 
 DEFAULT_CUTOFF = 256
 
@@ -134,7 +153,7 @@ class EvalContext:
     enum_budget: int = DEFAULT_ENUM_BUDGET
     literal_cutoff: int = 64
     mode: str = FAST                     # order-arithmetic route
-    solver: bool = True                  # linear-chain witness extraction
+    solver: bool = True                  # the quantifier deciders
 
     def with_mode(self, mode: str) -> "EvalContext":
         return replace(self, mode=mode)
@@ -155,22 +174,22 @@ def _store(node, fn):
 
 def eval_arith_term(t: ArithTerm, env: "dict[str, int]",
                     ctx: EvalContext) -> int:
-    return _compile_arith_term(t)(env, ctx)
+    return _compile(t)(env, ctx)
 
 
 def eval_arith(f: ArithFormula, env: "dict[str, int]",
                ctx: EvalContext) -> bool:
-    return _compile_arith(f)(env, ctx)
+    return _compile(f)(env, ctx)
 
 
 def eval_set_term(t: SetTerm, env: "dict[str, HFSet]",
                   ctx: EvalContext) -> HFSet:
-    return _compile_set_term(t)(env, ctx)
+    return _compile(t)(env, ctx)
 
 
 def eval_set(f: SetFormula, env: "dict[str, HFSet]",
              ctx: EvalContext) -> bool:
-    return _compile_set(f)(env, ctx)
+    return _compile(f)(env, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +203,10 @@ def _variable(name: str):
         except KeyError:
             raise ValueError(f"unbound variable {name!r}") from None
     return fn
+
+
+def _constant(value):
+    return lambda env, ctx: value
 
 
 def _op(helper):
@@ -224,10 +247,6 @@ _BINARY = {AAnd: _conjunction, SAnd: _conjunction,
            AImplies: _implication, SImplies: _implication}
 
 
-#: what a plan resolved on first use holds before that use
-_UNSEEN = object()
-
-
 # ---------------------------------------------------------------------------
 # loop-invariant terms, each behind a one-entry memo (module docstring)
 # ---------------------------------------------------------------------------
@@ -240,16 +259,21 @@ def _inside(scope, var: str):
     return loops + (var,), open_ | 2 << len(loops), known
 
 
-def _hoist(t, scope):
-    """(the key variables of t's memo or None; the scope of t's subtrees)
-    for a term other than a variable or a literal.  A costly term that is
-    invariant in an open loop gets a memo and closes that loop and every
-    loop inside it to its own subterms, so only maximal terms get one."""
-    if scope is None or not scope[1] or \
-            type(t) is AOp and t.op in ("S", "+", "*"):
+#: the classes of the terms that can be costly: variables, literals and
+#: 0e never are, and neither are S, + and *
+_COSTLY = (ASep, AOp, SEnum, SSep, SOp)
+
+
+def _hoist(node, scope):
+    """(the key variables of node's memo or None; the scope of node's
+    subtrees).  A costly term that is invariant in an open loop gets a
+    memo and closes that loop and every loop inside it to its own
+    subterms, so only maximal terms get one."""
+    if scope is None or not scope[1] or type(node) not in _COSTLY or \
+            type(node) is AOp and node.op in ("S", "+", "*"):
         return None, scope
     loops, open_, known = scope
-    free = free_vars(t, known)
+    free = free_vars(node, known)
     level = len(loops)  # ends at the innermost loop binding a variable of t
     while level and loops[level - 1] not in free:
         level -= 1
@@ -276,7 +300,7 @@ def _memo(fn, names: "tuple[str, ...]"):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic terms
+# arithmetic terms and relations
 # ---------------------------------------------------------------------------
 
 def _pow_code(n: int, budget: int) -> int:
@@ -454,216 +478,6 @@ def _arith_sep(var: str, bound, body):
     return fn
 
 
-def _compile_arith_term(t: ArithTerm, scope=None):
-    fn = vars(t).get(_FN)
-    if fn is not None:
-        return fn
-    cls = type(t)
-    if cls is AVar:
-        return _store(t, _variable(t.name))
-    if cls is ALit:
-        value = t.value
-        return _store(t, lambda env, ctx: value)
-    names, scope = _hoist(t, scope)
-    if cls is ASep:
-        fn = _arith_sep(t.var, _compile_arith_term(t.bound, scope),
-                        _compile_arith(t.body, _inside(scope, t.var)))
-    elif cls is AOp:
-        args = []
-        for a in t.args:  # a loop, not a comprehension: one frame per level
-            args.append(_compile_arith_term(a, scope))
-        fn = _ARITH_OPS[t.op](*args)
-    else:
-        raise TypeError(f"not an arithmetic term: {t!r}")
-    return _store(t, fn if names is None else _memo(fn, names))
-
-
-# ---------------------------------------------------------------------------
-# the linear-chain solver
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _LinearForm:
-    """const + sum(coeff * var); coefficients are env-closed terms."""
-
-    const: "tuple[ArithTerm, ...]"            # summed
-    coeffs: "dict[str, tuple[ArithTerm, ...]]"  # var -> summed terms
-
-
-def _closed(t: ArithTerm, chain: "frozenset[str]") -> bool:
-    return not (free_vars(t) & chain)
-
-
-def _linear_form(t: ArithTerm, chain: "frozenset[str]") -> "_LinearForm | None":
-    if _closed(t, chain):
-        return _LinearForm((t,), {})
-    if isinstance(t, AVar):
-        return _LinearForm((), {t.name: (ALit(1),)})
-    if not isinstance(t, AOp):
-        return None  # a separation term over chain variables: give up
-    if t.op == "S":
-        inner = _linear_form(t.args[0], chain)
-        if inner is None:
-            return None
-        return _LinearForm(inner.const + (ALit(1),), inner.coeffs)
-    if t.op == "+":
-        left = _linear_form(t.args[0], chain)
-        right = _linear_form(t.args[1], chain)
-        if left is None or right is None:
-            return None
-        coeffs = dict(left.coeffs)
-        for v, ts in right.coeffs.items():
-            coeffs[v] = coeffs.get(v, ()) + ts
-        return _LinearForm(left.const + right.const, coeffs)
-    if t.op == "*":
-        scale, body = t.args
-        if not _closed(scale, chain):
-            scale, body = body, scale
-        if not _closed(scale, chain):
-            return None  # quadratic
-        inner = _linear_form(body, chain)
-        if inner is None:
-            return None
-        mul = lambda ts: tuple(AOp("*", (scale, u)) for u in ts)  # noqa: E731
-        return _LinearForm(mul(inner.const),
-                           {v: mul(ts) for v, ts in inner.coeffs.items()})
-    return None  # exp or a code operation over chain variables
-
-
-@dataclass(frozen=True)
-class _ChainPlan:
-    """exists v1 < b1. ... exists vk < bk. lhs = rhs, compiled: the net
-    coefficient of each variable and the constants as summed terms."""
-
-    vars: "tuple[str, ...]"
-    bounds: tuple                  # compiled bound terms
-    net: tuple                     # (var, left terms, right terms)
-    const: tuple                   # (left terms, right terms)
-    atom: object                   # the compiled matrix
-
-
-def _terms(ts) -> tuple:
-    return tuple(_compile_arith_term(u) for u in ts)
-
-
-def _chain_plan(var: str, bound: ArithTerm,
-                body: ArithFormula) -> "_ChainPlan | None":
-    """The plan of `exists var < bound. body`, None outside the fragment."""
-    names, bounds = [var], [bound]
-    while isinstance(body, AExists):
-        if body.bound is None or body.var in names:
-            return None
-        names.append(body.var)
-        bounds.append(body.bound)
-        body = body.body
-    if not isinstance(body, ARel) or body.op != "=":
-        return None
-    chain = frozenset(names)
-    for b in bounds:
-        if not _closed(b, chain):
-            return None  # a bound refers to an earlier chain variable
-    lhs = _linear_form(body.args[0], chain)
-    rhs = _linear_form(body.args[1], chain)
-    if lhs is None or rhs is None:
-        return None
-    net = tuple((v, _terms(lhs.coeffs.get(v, ())),
-                 _terms(rhs.coeffs.get(v, ()))) for v in names)
-    return _ChainPlan(tuple(names), _terms(bounds), net,
-                      (_terms(lhs.const), _terms(rhs.const)),
-                      _compile_arith(body))
-
-
-def _total(terms, env, ctx) -> int:
-    out = 0
-    for u in terms:
-        out += u(env, ctx)
-    return out
-
-
-def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
-                 ctx: EvalContext) -> "tuple[bool | None, dict | None]":
-    """(True, witness) / (False, None) when the cascade decides the
-    chain, (None, None) to fall back to enumeration."""
-    coeffs = {}
-    for v, left, right in plan.net:
-        coeffs[v] = _total(left, env, ctx) - _total(right, env, ctx)
-    target = _total(plan.const[1], env, ctx) - _total(plan.const[0], env, ctx)
-    if any(c < 0 for c in coeffs.values()):
-        if all(c <= 0 for c in coeffs.values()):
-            coeffs = {v: -c for v, c in coeffs.items()}
-            target = -target
-        else:
-            return None, None  # mixed signs: not a positional system
-    if target < 0:
-        return False, None
-    limits = {}
-    for v, b in zip(plan.vars, plan.bounds):
-        limits[v] = b(env, ctx)
-        if limits[v] <= 0:
-            return False, None  # an empty range: the chain is false
-    # positional condition: each coefficient dominates everything the
-    # smaller ones can contribute
-    ordered = sorted((c, v) for v, c in coeffs.items() if c > 0)
-    room = 0
-    for c, v in ordered:
-        if c <= room:
-            return None, None
-        room += c * (limits[v] - 1)
-    witness = dict(env)
-    solved = set()
-    for _, v in reversed(ordered):
-        witness[v], target = divmod(target, coeffs[v])
-        solved.add(v)
-        if witness[v] >= limits[v]:
-            return False, None
-    if target != 0:
-        return False, None
-    for v in plan.vars:
-        if v not in solved:
-            # unconstrained by the equation; 0 is in every nonempty range
-            # (and the chain variable shadows any outer binding of v)
-            witness[v] = 0
-    # the witness came out of arithmetic on the analysis; believe only an
-    # honest evaluation of the matrix
-    if plan.atom(witness, ctx):
-        return True, witness
-    return None, None
-
-
-def _match_bit_guard(f: ArithFormula) -> "tuple[ArithTerm, ArithTerm] | None":
-    """Recognize the bit-extraction shape
-    exists n < T. exists m < exp(2, S). T = exp(2, S + 1) * n + exp(2, S) + m
-    and return (S, T)."""
-    if not isinstance(f, AExists) or f.bound is None:
-        return None
-    outer, inner = f, f.body
-    if not isinstance(inner, AExists) or inner.bound is None:
-        return None
-    host = outer.bound
-    low = inner.bound
-    if not (isinstance(low, AOp) and low.op == "exp"
-            and low.args[0] == ALit(2)):
-        return None
-    subject = low.args[1]
-    atom = inner.body
-    if not (isinstance(atom, ARel) and atom.op == "="
-            and atom.args[0] == host):
-        return None
-    n, m = AVar(outer.var), AVar(inner.var)
-    high = AOp("exp", (ALit(2), AOp("+", (subject, ALit(1)))))
-    want = AOp("+", (AOp("+", (AOp("*", (high, n)), low)), m))
-    if atom.args[1] != want:
-        return None
-    if outer.var == inner.var or outer.var in free_vars(subject) \
-            or inner.var in free_vars(subject) or outer.var in free_vars(host):
-        return None
-    return subject, host
-
-
-# ---------------------------------------------------------------------------
-# arithmetic formulas
-# ---------------------------------------------------------------------------
-
 def _equal(a, b):
     return lambda env, ctx: a(env, ctx) == b(env, ctx)
 
@@ -687,120 +501,8 @@ _ARITH_RELS = {
 }
 
 
-def _arith_range(bound, env, ctx) -> "range":
-    if bound is None:
-        return range(ctx.nat_cutoff)
-    n = bound(env, ctx)
-    if n > ctx.enum_budget:
-        raise BudgetExceeded(
-            f"quantifier range {n} exceeds the enumeration budget")
-    return range(n)
-
-
-def _bit_guarded(f) -> "ArithFormula | None":
-    """`rest` when f reads `forall v < T. guard -> rest` or
-    `exists v < T. guard & rest` and its guard is the bit test of v in T:
-    then v ranges over the members of T, and only rest is evaluated."""
-    body = f.body
-    if f.bound is None or type(body) is not (
-            AImplies if type(f) is AForall else AAnd):
-        return None
-    hit = _match_bit_guard(body.left)
-    if hit is not None and hit[0] == AVar(f.var) and hit[1] == f.bound:
-        return body.right
-    return None
-
-
-def _member_walk(univ: bool, var: str, bound, rest):
-    """v ranges over members: visit just the set bits of the host."""
-    if univ:
-        def fn(env, ctx):
-            host = bound(env, ctx)
-            inner = dict(env)
-            for i in _bit_positions(host):
-                inner[var] = i
-                if not rest(inner, ctx):
-                    return False
-            return True
-    else:
-        def fn(env, ctx):
-            host = bound(env, ctx)
-            inner = dict(env)
-            for i in _bit_positions(host):
-                inner[var] = i
-                if rest(inner, ctx):
-                    return True
-            return False
-    return fn
-
-
-def _arith_forall(var: str, bound, body):
-    def fn(env, ctx):
-        inner = dict(env)
-        for i in _arith_range(bound, env, ctx):
-            inner[var] = i
-            if not body(inner, ctx):
-                return False
-        return True
-    return fn
-
-
-def _arith_exists(var: str, bound, body, bound_node, body_node):
-    plan = _UNSEEN  # the chain plan, analysed on the solver's first call
-
-    def fn(env, ctx):
-        nonlocal plan
-        if ctx.solver and bound is not None:
-            if plan is _UNSEEN:
-                plan = _chain_plan(var, bound_node, body_node)
-            if plan is not None:
-                decided, _ = _solve_chain(plan, env, ctx)
-                if decided is not None:
-                    return decided
-        inner = dict(env)
-        for i in _arith_range(bound, env, ctx):
-            inner[var] = i
-            if body(inner, ctx):
-                return True
-        return False
-    return fn
-
-
-def _compile_arith(f: ArithFormula, scope=None):
-    fn = vars(f).get(_FN)
-    if fn is not None:
-        return fn
-    cls = type(f)
-    if cls is ARel:
-        args = []
-        for a in f.args:
-            args.append(_compile_arith_term(a, scope))
-        fn = _ARITH_RELS[f.op](*args)
-    elif cls is ANot:
-        fn = _negation(_compile_arith(f.body, scope))
-    elif cls in _BINARY:
-        fn = _BINARY[cls](_compile_arith(f.left, scope),
-                          _compile_arith(f.right, scope))
-    elif cls is AForall or cls is AExists:
-        univ = cls is AForall
-        bound = None if f.bound is None \
-            else _compile_arith_term(f.bound, scope)
-        inner = _inside(scope, f.var)
-        rest = _bit_guarded(f)
-        if rest is not None:
-            fn = _member_walk(univ, f.var, bound, _compile_arith(rest, inner))
-        elif univ:
-            fn = _arith_forall(f.var, bound, _compile_arith(f.body, inner))
-        else:
-            fn = _arith_exists(f.var, bound, _compile_arith(f.body, inner),
-                               f.bound, f.body)
-    else:
-        raise TypeError(f"not an arithmetic formula: {f!r}")
-    return _store(f, fn)
-
-
 # ---------------------------------------------------------------------------
-# set terms
+# set terms and relations
 # ---------------------------------------------------------------------------
 
 def _numeral(value: int):
@@ -854,7 +556,9 @@ _SET_OPS = {
     "vns": _op(lambda x, ctx: adjoin(x, x)),
     "osucc": _op(lambda x, ctx: order.successor_a(x)),
     "oadd": _order_op(add_a), "omul": _order_op(mul_a),
-    "oexp": _order_op(exp_a),
+    "oexp": _op(lambda x, y, ctx: exp_a(
+        x, y, ctx.mode, literal_cutoff=ctx.literal_cutoff,
+        enum_budget=ctx.enum_budget, code_budget=ctx.code_budget)),
     "cadd": _op(lambda x, y, ctx: cardinal.card_add(x, y, ctx.enum_budget)),
     "cmul": _op(lambda x, y, ctx: cardinal.product(x, y, ctx.enum_budget)),
     "cexp": _op(lambda x, y, ctx: cardinal.card_exp(x, y, ctx.enum_budget)),
@@ -864,226 +568,6 @@ _SET_OPS = {
     "vexp": _op(lambda x, y, ctx: ord_exp(x, y, ctx.enum_budget)),
 }
 
-
-def _compile_set_term(t: SetTerm, scope=None):
-    fn = vars(t).get(_FN)
-    if fn is not None:
-        return fn
-    cls = type(t)
-    if cls is SVar:
-        return _store(t, _variable(t.name))
-    if cls is SEmpty:
-        return _store(t, lambda env, ctx: empty())
-    if cls is SLit:
-        return _store(t, _numeral(t.value))
-    names, scope = _hoist(t, scope)
-    if cls is SEnum:
-        elems = []
-        for e in t.elems:
-            elems.append(_compile_set_term(e, scope))
-        fn = _enumeration(tuple(elems))
-    elif cls is SSep:
-        fn = _set_sep(t.var, _compile_set_term(t.dom, scope),
-                      _compile_set(t.body, _inside(scope, t.var)))
-    elif cls is SOp:
-        args = []
-        for a in t.args:  # a loop, not a comprehension: one frame per level
-            args.append(_compile_set_term(a, scope))
-        fn = _SET_OPS[t.op](*args)
-    else:
-        raise TypeError(f"not a set term: {t!r}")
-    return _store(t, fn if names is None else _memo(fn, names))
-
-
-# ---------------------------------------------------------------------------
-# the shortcuts of set quantifiers: order transport, order chains and
-# ordinal-graph witnesses
-# ---------------------------------------------------------------------------
-
-_ORDER_CODE_OPS = {"oadd": "+", "omul": "*", "oexp": "exp"}
-
-
-def _order_code_form(t: SetTerm) -> "ArithTerm | None":
-    """The code of an order-arithmetic term, as an arithmetic term over
-    the codes of its variables; None outside the fragment.
-
-    This is the order isomorphism in term form: the n-th set's successor
-    is the (n+1)-th set, and the order operations act as +, *, exp on
-    positions, which equal codes.
-    """
-    if isinstance(t, SVar):
-        return AVar(t.name)
-    if isinstance(t, SEmpty):
-        return ALit(0)
-    if isinstance(t, SLit):
-        return ALit(t.value)
-    if isinstance(t, SOp):
-        if t.op == "osucc":
-            inner = _order_code_form(t.args[0])
-            return None if inner is None else AOp("S", (inner,))
-        if t.op in _ORDER_CODE_OPS:
-            parts = [_order_code_form(a) for a in t.args]
-            if any(p is None for p in parts):
-                return None
-            return AOp(_ORDER_CODE_OPS[t.op], tuple(parts))
-    return None
-
-
-def _transport(f: SetFormula) -> "tuple | None":
-    """The code-side counterpart of a fully bounded set formula, compiled,
-    with the free variables to encode; None when a quantifier is
-    unbounded (cutoff semantics would not carry over).  Evaluating the
-    counterpart on codes is the fast route for order-bounded
-    subformulas; the honest walk stays available with the solver off and
-    is what literal mode uses."""
-    if not is_bounded(f):
-        return None
-    from .interp import translate_a
-    return _compile_arith(translate_a(f)), tuple(sorted(free_vars(f)))
-
-
-@dataclass(frozen=True)
-class _SetChain:
-    """An order-bounded existential chain transported to a code-side
-    chain plan, with the set-side matrix to re-verify witnesses against."""
-
-    plan: _ChainPlan
-    names: "tuple[str, ...]"       # the chain variables
-    needed: "tuple[str, ...]"      # outer variables the plan reads
-    matrix: SetFormula
-    check: object                  # the compiled matrix
-
-
-def _set_chain(f: SExists) -> "_SetChain | None":
-    """Recognize an order-bounded existential chain over order-arithmetic
-    terms and transport it to a code-side chain plan; None outside the
-    fragment."""
-    names, bounds = [], []
-    body: SetFormula = f
-    while isinstance(body, SExists):
-        if body.bound is None or body.bound_kind != BOUND_ORDER:
-            return None
-        code_bound = _order_code_form(body.bound)
-        if code_bound is None or body.var in names:
-            return None
-        names.append(body.var)
-        bounds.append(code_bound)
-        body = body.body
-    if not (isinstance(body, SRel) and body.op == "="):
-        return None
-    lhs = _order_code_form(body.args[0])
-    rhs = _order_code_form(body.args[1])
-    if lhs is None or rhs is None:
-        return None
-    plan = _chain_plan(names[0], bounds[0], _nest_exists(
-        names[1:], bounds[1:], ARel("=", (lhs, rhs))))
-    if plan is None:
-        return None
-    needed = set(free_vars(body))
-    for b in bounds:
-        needed |= free_vars(b)
-    return _SetChain(plan, tuple(names), tuple(sorted(needed - set(names))),
-                     body, _compile_set(body))
-
-
-def _nest_exists(names, bounds, matrix: ArithFormula) -> ArithFormula:
-    for v, b in zip(reversed(names), reversed(bounds)):
-        matrix = AExists(v, b, matrix)
-    return matrix
-
-
-def _solve_set_chain(chain: _SetChain, env, ctx) -> "bool | None":
-    """Decide an order-bounded chain through the coding, re-verifying any
-    witness with the set operations themselves (so literal mode still
-    exercises the literal route once per decision)."""
-    try:
-        code_env = {v: encode(env[v], ctx.code_budget)
-                    for v in chain.needed if v in env}
-    except BudgetExceeded:
-        return None
-    decided, witness = _solve_chain(chain.plan, code_env, ctx)
-    if decided is None:
-        return None
-    if decided is False:
-        return False
-    inner = dict(env)
-    for v in chain.names:
-        inner[v] = decode(witness[v], ctx.code_budget)
-    if not chain.check(inner, ctx):
-        raise AssertionError(
-            "order-chain transport and set evaluation disagree on "
-            f"{chain.matrix!r} at "
-            f"{sorted((v, witness[v]) for v in chain.names)}")
-    return True
-
-
-#: ordinal graph relation -> the operation whose graph it is
-_ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
-
-
-def _conjuncts(f: SetFormula):
-    while isinstance(f, SAnd):
-        yield from _conjuncts(f.left)
-        f = f.right
-    yield f
-
-
-_NO_WITNESS = object()
-
-
-def _graph_pins(var: str, body: SetFormula) -> tuple:
-    """The conjuncts that pin v in `exists v. ... & ordop(a, b, v) & ...`,
-    as (operation, compiled a, compiled b).
-
-    The pinning conjunct may sit underneath further unbounded
-    existentials (the shape term flattening builds), as long as it does
-    not mention their variables."""
-    shadowed: "set[str]" = set()
-    while isinstance(body, SExists) and body.bound is None \
-            and body.var != var:
-        shadowed.add(body.var)
-        body = body.body
-    pins = []
-    for c in _conjuncts(body):
-        if not (isinstance(c, SRel) and c.op in _ORD_GRAPHS
-                and c.args[2] == SVar(var)):
-            continue
-        argvars = free_vars(c.args[0]) | free_vars(c.args[1])
-        if var in argvars or argvars & shadowed:
-            continue
-        pins.append((c.op, _compile_set_term(c.args[0]),
-                     _compile_set_term(c.args[1])))
-    return tuple(pins)
-
-
-def _graph_witness(pins: tuple, env, ctx):
-    """Read the witness off the operation graph: no other value can
-    satisfy a pinning conjunct.
-
-    Ordinal codes grow as towers, so enumeration cannot reach these
-    witnesses; the extracted candidate is still checked by honestly
-    evaluating the whole body.  Returns an HFSet candidate, _NO_WITNESS
-    when the graph atom is unsatisfiable, or None when no conjunct pins
-    the variable.
-    """
-    for op, a, b in pins:
-        try:
-            x = a(env, ctx)
-            y = b(env, ctx)
-        except ValueError:
-            continue  # refers to a variable not in scope yet
-        try:
-            if op == "ordexp":
-                return ord_exp(x, y, ctx.enum_budget)
-            return _ORD_GRAPHS[op](x, y)
-        except NotAnOrdinal:
-            return _NO_WITNESS
-    return None
-
-
-# ---------------------------------------------------------------------------
-# set formulas
-# ---------------------------------------------------------------------------
 
 def _ord_graph(combine):
     def holds(x: HFSet, y: HFSet, z: HFSet, ctx) -> bool:
@@ -1115,6 +599,155 @@ _SET_RELS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the compiler
+# ---------------------------------------------------------------------------
+
+#: node class -> its table of closure makers, by operation or relation
+_TABLES = {AOp: _ARITH_OPS, ARel: _ARITH_RELS,
+           SOp: _SET_OPS, SRel: _SET_RELS}
+
+
+def _compile(node, scope=None):
+    """The closure of a term or formula of either language, compiled once
+    and stored on the node."""
+    fn = vars(node).get(_FN)
+    if fn is not None:
+        return fn
+    cls = type(node)
+    if cls is AVar or cls is SVar:
+        return _store(node, _variable(node.name))
+    if cls is ALit:
+        return _store(node, _constant(node.value))
+    if cls is SEmpty:
+        return _store(node, _constant(empty()))
+    if cls is SLit:
+        return _store(node, _numeral(node.value))
+    names, scope = _hoist(node, scope)
+    if cls in _TABLES:
+        args = []
+        for a in node.args:  # a loop, not a comprehension: one frame per level
+            args.append(_compile(a, scope))
+        fn = _TABLES[cls][node.op](*args)
+    elif cls is SEnum:
+        elems = []
+        for e in node.elems:
+            elems.append(_compile(e, scope))
+        fn = _enumeration(tuple(elems))
+    elif cls is ASep:
+        fn = _arith_sep(node.var, _compile(node.bound, scope),
+                        _compile(node.body, _inside(scope, node.var)))
+    elif cls is SSep:
+        fn = _set_sep(node.var, _compile(node.dom, scope),
+                      _compile(node.body, _inside(scope, node.var)))
+    elif cls is ANot or cls is SNot:
+        fn = _negation(_compile(node.body, scope))
+    elif cls in _BINARY:
+        fn = _BINARY[cls](_compile(node.left, scope),
+                          _compile(node.right, scope))
+    elif cls is AForall or cls is AExists or cls is SForall or cls is SExists:
+        bound = None if node.bound is None else _compile(node.bound, scope)
+        rest = _bit_guarded(node)
+        body = _compile(node.body if rest is None else rest,
+                        _inside(scope, node.var))
+        fn = _quantifier(node, bound, body, rest is not None)
+    else:
+        raise TypeError(f"not a term or formula: {node!r}")
+    return _store(node, fn if names is None else _memo(fn, names))
+
+
+# ---------------------------------------------------------------------------
+# quantifiers: one loop, its domains and its deciders
+# ---------------------------------------------------------------------------
+
+#: what a decider's slot holds before its maker has run
+_UNSEEN = object()
+
+
+def _quantify(univ: bool, var: str, domain, body, deciders):
+    """The one quantifier loop: the deciders, then the walk of
+    `domain(env, ctx)` with `body` as the test.
+
+    `deciders` holds (fast, make) pairs in the order they are tried.  A
+    decider runs in every mode when fast is None, in fast mode only when
+    it is True, and outside fast mode only when it is False.  `make()`
+    builds it on the first call in a mode it runs in, and it is kept; when
+    make() returns None the decider does not apply, and it is dropped."""
+    slots = tuple([fast, make, _UNSEEN] for fast, make in deciders)
+
+    def fn(env, ctx):
+        nonlocal slots
+        if slots and ctx.solver:
+            for slot in slots:
+                fast, make, decide = slot
+                if fast is not None and fast is not (ctx.mode == FAST):
+                    continue
+                if decide is _UNSEEN:
+                    decide = slot[2] = make()
+                    if decide is None:  # the loop goes on over the old tuple
+                        slots = tuple(s for s in slots if s is not slot)
+                        continue
+                verdict = decide(env, ctx)
+                if verdict is not None:
+                    return bool(verdict)  # a witness is true
+        inner = dict(env)
+        for x in domain(env, ctx):
+            inner[var] = x
+            if (not body(inner, ctx)) is univ:  # a counterexample or a witness
+                return not univ
+        return univ
+    return fn
+
+
+def _quantifier(q, bound, body, walk: bool):
+    """The closure of quantifier q, given its compiled bound and body (or,
+    on a member walk, its compiled rest).  The closure keeps q's fields,
+    not q, so that the node and its closure form no reference cycle."""
+    univ = type(q) is AForall or type(q) is SForall
+    var = q.var
+    if walk:
+        return _quantify(univ, var, lambda env, ctx: _bit_positions(
+            bound(env, ctx)), body, ())
+    if isinstance(q, ArithFormula):
+        chain = () if univ or bound is None else (
+            (None, partial(_arith_chain, var, q.bound, q.body)),)
+        return _quantify(univ, var, partial(_arith_range, bound), body, chain)
+    order_bounded = bound is not None and q.bound_kind == BOUND_ORDER
+    deciders = []
+    if bound is None and not univ:
+        deciders.append((None, partial(_graph_witness, var, q.body, body)))
+    if order_bounded:
+        # q again, rebuilt for the plans made on first use
+        same = partial(type(q), var, q.bound, q.body, q.bound_kind)
+        deciders.append((True, lambda: _transport(same())))
+        if not univ:
+            deciders.append((False, lambda: _order_chain(same())))
+    return _quantify(univ, var, partial(_set_range, bound, order_bounded),
+                     body, deciders)
+
+
+def _bit_guarded(q) -> "ArithFormula | None":
+    """`rest` when q reads `forall v < T. guard -> rest` or
+    `exists v < T. guard & rest` and its guard is the bit formula of v in
+    T: then v ranges over the members of T, and only rest is evaluated."""
+    body = q.body
+    if q.bound is not None and \
+            type(body) is (AImplies if type(q) is AForall else AAnd) and \
+            bit_formula_parts(body.left) == (AVar(q.var), q.bound):
+        return body.right
+    return None
+
+
+def _arith_range(bound, env, ctx) -> "range":
+    if bound is None:
+        return range(ctx.nat_cutoff)
+    n = bound(env, ctx)
+    if n > ctx.enum_budget:
+        raise BudgetExceeded(
+            f"quantifier range {n} exceeds the enumeration budget")
+    return range(n)
+
+
 def _set_range(bound, order_bounded: bool, env, ctx):
     if bound is None:
         return map(decode, range(ctx.set_cutoff))
@@ -1130,82 +763,316 @@ def _set_range(bound, order_bounded: bool, env, ctx):
     return map(decode, range(n))
 
 
-def _set_quantifier(f, body, bound):
-    """The closure of a set quantifier: its shortcuts, each tried only
-    with the solver on, then the honest walk.  The closure keeps the
-    quantifier's fields, not the node, so that the node and its closure
-    form no reference cycle."""
-    univ = type(f) is SForall
-    var = f.var
-    order_bounded = f.bound is not None and f.bound_kind == BOUND_ORDER
-    pins = () if univ or f.bound is not None else _graph_pins(var, f.body)
-    # the node again, for the plans resolved on first use
-    same = partial(type(f), var, f.bound, f.body, f.bound_kind)
-    transport = chain = _UNSEEN
+# ---------------------------------------------------------------------------
+# the chain solver
+# ---------------------------------------------------------------------------
 
-    def fn(env, ctx):
-        nonlocal transport, chain
-        if ctx.solver:
-            if pins:
-                pinned = _graph_witness(pins, env, ctx)
-                if pinned is _NO_WITNESS:
-                    return False
-                if pinned is not None:
-                    inner = dict(env)
-                    inner[var] = pinned
-                    return body(inner, ctx)
-            if order_bounded and ctx.mode == FAST:
-                if transport is _UNSEEN:
-                    transport = _transport(same())
-                if transport is not None:
-                    image, names = transport
-                    try:
-                        code_env = {v: encode(env[v], ctx.code_budget)
-                                    for v in names if v in env}
-                        return image(code_env, ctx)
-                    except BudgetExceeded:
-                        pass  # fall back to the honest walk
-            elif order_bounded and not univ:
-                if chain is _UNSEEN:
-                    chain = _set_chain(same())
-                if chain is not None:
-                    decided = _solve_set_chain(chain, env, ctx)
-                    if decided is not None:
-                        return decided
-        inner = dict(env)
-        if univ:
-            for x in _set_range(bound, order_bounded, env, ctx):
-                inner[var] = x
-                if not body(inner, ctx):
-                    return False
-            return True
-        for x in _set_range(bound, order_bounded, env, ctx):
-            inner[var] = x
-            if body(inner, ctx):
-                return True
+def _linear_form(t: ArithTerm, chain: "frozenset[str]") -> "tuple | None":
+    """(const, coeffs) with t = sum(const) + the sum over v of
+    sum(coeffs[v]) * v, every term in them free of the chain's variables;
+    None outside the linear fragment."""
+    if not free_vars(t) & chain:
+        return (t,), {}
+    if isinstance(t, AVar):
+        return (), {t.name: (ALit(1),)}
+    if not isinstance(t, AOp):
+        return None  # a separation term over chain variables: give up
+    if t.op == "S":
+        inner = _linear_form(t.args[0], chain)
+        return None if inner is None else (inner[0] + (ALit(1),), inner[1])
+    if t.op == "+":
+        left = _linear_form(t.args[0], chain)
+        right = _linear_form(t.args[1], chain)
+        if left is None or right is None:
+            return None
+        coeffs = dict(left[1])
+        for v, ts in right[1].items():
+            coeffs[v] = coeffs.get(v, ()) + ts
+        return left[0] + right[0], coeffs
+    if t.op == "*":
+        scale, body = t.args
+        if free_vars(scale) & chain:
+            scale, body = body, scale
+        if free_vars(scale) & chain:
+            return None  # quadratic
+        inner = _linear_form(body, chain)
+        if inner is None:
+            return None
+        mul = lambda ts: tuple(AOp("*", (scale, u)) for u in ts)  # noqa: E731
+        return mul(inner[0]), {v: mul(ts) for v, ts in inner[1].items()}
+    return None  # exp or a code operation over chain variables
+
+
+@dataclass(frozen=True)
+class _ChainPlan:
+    """exists v1 < b1. ... exists vk < bk. lhs = rhs, compiled: the net
+    coefficient of each variable and the constants as summed terms."""
+
+    vars: "tuple[str, ...]"
+    bounds: tuple                  # compiled bound terms
+    net: tuple                     # (var, left terms, right terms)
+    const: tuple                   # (left terms, right terms)
+    atom: object                   # the compiled matrix
+
+
+def _terms(ts) -> tuple:
+    return tuple(_compile(u) for u in ts)
+
+
+def _chain_plan(names: list, bounds: list,
+                atom: ArithFormula) -> "_ChainPlan | None":
+    """The plan of `exists v1 < b1. ... exists vk < bk. atom` over the
+    variables `names` and the bounds `bounds`; None outside the
+    fragment."""
+    chain = frozenset(names)
+    if len(chain) < len(names) or not isinstance(atom, ARel) \
+            or atom.op != "=":
+        return None
+    for b in bounds:
+        if free_vars(b) & chain:
+            return None  # a bound refers to a chain variable
+    lhs = _linear_form(atom.args[0], chain)
+    rhs = _linear_form(atom.args[1], chain)
+    if lhs is None or rhs is None:
+        return None
+    net = tuple((v, _terms(lhs[1].get(v, ())), _terms(rhs[1].get(v, ())))
+                for v in names)
+    return _ChainPlan(tuple(names), _terms(bounds), net,
+                      (_terms(lhs[0]), _terms(rhs[0])), _compile(atom))
+
+
+def _arith_chain(var: str, bound: ArithTerm, body: ArithFormula):
+    """The chain-solver decider of `exists var < bound. body`, or None
+    outside its fragment."""
+    names, bounds = [var], [bound]
+    while isinstance(body, AExists) and body.bound is not None:
+        names.append(body.var)
+        bounds.append(body.bound)
+        body = body.body
+    plan = _chain_plan(names, bounds, body)
+    return None if plan is None else partial(_solve_chain, plan)
+
+
+def _total(terms, env, ctx) -> int:
+    out = 0
+    for u in terms:
+        out += u(env, ctx)
+    return out
+
+
+def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
+                 ctx: EvalContext) -> "dict | bool | None":
+    """The witness (the environment extended by the chain's variables) or
+    False when the cascade decides the chain, None to fall back to
+    enumeration."""
+    coeffs = {}
+    for v, left, right in plan.net:
+        coeffs[v] = _total(left, env, ctx) - _total(right, env, ctx)
+    target = _total(plan.const[1], env, ctx) - _total(plan.const[0], env, ctx)
+    if any(c < 0 for c in coeffs.values()):
+        if all(c <= 0 for c in coeffs.values()):
+            coeffs = {v: -c for v, c in coeffs.items()}
+            target = -target
+        else:
+            return None  # mixed signs: not a positional system
+    if target < 0:
         return False
-    return fn
+    limits = {}
+    for v, b in zip(plan.vars, plan.bounds):
+        limits[v] = b(env, ctx)
+        if limits[v] <= 0:
+            return False  # an empty range: the chain is false
+    # positional condition: each coefficient dominates everything the
+    # smaller ones can contribute
+    ordered = sorted((c, v) for v, c in coeffs.items() if c > 0)
+    room = 0
+    for c, v in ordered:
+        if c <= room:
+            return None
+        room += c * (limits[v] - 1)
+    witness = dict(env)
+    solved = set()
+    for _, v in reversed(ordered):
+        witness[v], target = divmod(target, coeffs[v])
+        solved.add(v)
+        if witness[v] >= limits[v]:
+            return False
+    if target != 0:
+        return False
+    for v in plan.vars:
+        if v not in solved:
+            # unconstrained by the equation; 0 is in every nonempty range
+            # (and the chain variable shadows any outer binding of v)
+            witness[v] = 0
+    # the witness came out of arithmetic on the analysis; believe only an
+    # honest evaluation of the matrix
+    if plan.atom(witness, ctx):
+        return witness
+    return None
 
 
-def _compile_set(f: SetFormula, scope=None):
-    fn = vars(f).get(_FN)
-    if fn is not None:
-        return fn
-    cls = type(f)
-    if cls is SRel:
-        args = []
-        for a in f.args:
-            args.append(_compile_set_term(a, scope))
-        fn = _SET_RELS[f.op](*args)
-    elif cls is SNot:
-        fn = _negation(_compile_set(f.body, scope))
-    elif cls in _BINARY:
-        fn = _BINARY[cls](_compile_set(f.left, scope),
-                          _compile_set(f.right, scope))
-    elif cls is SForall or cls is SExists:
-        fn = _set_quantifier(f, _compile_set(f.body, _inside(scope, f.var)),
-                             None if f.bound is None
-                             else _compile_set_term(f.bound, scope))
-    else:
-        raise TypeError(f"not a set formula: {f!r}")
-    return _store(f, fn)
+# ---------------------------------------------------------------------------
+# the deciders of set quantifiers: graph witness, order transport and
+# order chain
+# ---------------------------------------------------------------------------
+
+#: ordinal graph relation -> the operation whose graph it is
+_ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
+
+
+def _conjuncts(f: SetFormula):
+    while isinstance(f, SAnd):
+        yield from _conjuncts(f.left)
+        f = f.right
+    yield f
+
+
+def _graph_witness(var: str, f: SetFormula, body):
+    """The graph-witness decider of `exists var. f`, whose body compiles
+    to `body`; None when no conjunct pins var.
+
+    A conjunct `ordop(a, b, var)` pins var when a and b do not mention
+    it.  It may sit underneath further unbounded existentials (the shape
+    term flattening builds), as long as it does not mention their
+    variables."""
+    shadowed: "set[str]" = set()
+    while isinstance(f, SExists) and f.bound is None and f.var != var:
+        shadowed.add(f.var)
+        f = f.body
+    pins = []
+    for c in _conjuncts(f):
+        if not (isinstance(c, SRel) and c.op in _ORD_GRAPHS
+                and c.args[2] == SVar(var)):
+            continue
+        argvars = free_vars(c.args[0]) | free_vars(c.args[1])
+        if var in argvars or argvars & shadowed:
+            continue
+        pins.append((c.op, _compile(c.args[0]), _compile(c.args[1])))
+    return partial(_pinned, tuple(pins), var, body) if pins else None
+
+
+def _pinned(pins: tuple, var: str, body, env, ctx) -> "bool | None":
+    """Read the witness off the operation graph: no other value can
+    satisfy a pinning conjunct.
+
+    Ordinal codes grow as towers, so enumeration cannot reach these
+    witnesses; the extracted candidate is still checked by honestly
+    evaluating the whole body.  False when the graph atom is
+    unsatisfiable, None when no pin's arguments are in scope yet."""
+    for op, a, b in pins:
+        try:
+            x = a(env, ctx)
+            y = b(env, ctx)
+        except ValueError:
+            continue  # refers to a variable not in scope yet
+        try:
+            witness = ord_exp(x, y, ctx.enum_budget) if op == "ordexp" \
+                else _ORD_GRAPHS[op](x, y)
+        except NotAnOrdinal:
+            return False
+        inner = dict(env)
+        inner[var] = witness
+        return body(inner, ctx)
+    return None
+
+
+def _transport(f: SetFormula):
+    """The order-transport decider of f: the code-side counterpart of f,
+    compiled, run on the codes of f's free variables; None when a
+    quantifier is unbounded (cutoff semantics would not carry over).  The
+    honest walk stays available with the solver off and is what literal
+    mode uses."""
+    if not is_bounded(f):
+        return None
+    return partial(_transported, _compile(translate_a(f)),
+                   tuple(sorted(free_vars(f))))
+
+
+def _transported(image, names: "tuple[str, ...]", env, ctx) -> "bool | None":
+    try:
+        code_env = {v: encode(env[v], ctx.code_budget)
+                    for v in names if v in env}
+        return image(code_env, ctx)
+    except BudgetExceeded:
+        return None  # fall back to the honest walk
+
+
+_ORDER_CODE_OPS = {"oadd": "+", "omul": "*", "oexp": "exp"}
+
+
+def _order_code_form(t: SetTerm) -> "ArithTerm | None":
+    """The code of an order-arithmetic term, as an arithmetic term over
+    the codes of its variables; None outside the fragment.
+
+    This is the order isomorphism in term form: the n-th set's successor
+    is the (n+1)-th set, and the order operations act as +, *, exp on
+    positions, which equal codes.
+    """
+    if isinstance(t, SVar):
+        return AVar(t.name)
+    if isinstance(t, SEmpty):
+        return ALit(0)
+    if isinstance(t, SLit):
+        return ALit(t.value)
+    if isinstance(t, SOp):
+        if t.op == "osucc":
+            inner = _order_code_form(t.args[0])
+            return None if inner is None else AOp("S", (inner,))
+        if t.op in _ORDER_CODE_OPS:
+            parts = [_order_code_form(a) for a in t.args]
+            if any(p is None for p in parts):
+                return None
+            return AOp(_ORDER_CODE_OPS[t.op], tuple(parts))
+    return None
+
+
+def _order_chain(f: SExists):
+    """The order-chain decider of f: an order-bounded existential chain
+    over order-arithmetic terms, transported to a code-side chain plan;
+    None outside that fragment."""
+    names, bounds = [], []
+    body: SetFormula = f
+    while isinstance(body, SExists) and body.bound_kind == BOUND_ORDER:
+        code_bound = _order_code_form(body.bound)
+        if code_bound is None:
+            return None
+        names.append(body.var)
+        bounds.append(code_bound)
+        body = body.body
+    if not (isinstance(body, SRel) and body.op == "="):
+        return None
+    lhs = _order_code_form(body.args[0])
+    rhs = _order_code_form(body.args[1])
+    if lhs is None or rhs is None:
+        return None
+    plan = _chain_plan(names, bounds, ARel("=", (lhs, rhs)))
+    if plan is None:
+        return None
+    needed = free_vars(body).union(*map(free_vars, bounds)) - set(names)
+    return partial(_solve_order_chain, plan, tuple(sorted(needed)), body,
+                   _compile(body))
+
+
+def _solve_order_chain(plan: _ChainPlan, needed: "tuple[str, ...]",
+                       matrix: SetFormula, check, env,
+                       ctx) -> "bool | None":
+    """Decide an order-bounded chain through the coding, re-verifying any
+    witness with the set operations themselves (so literal mode still
+    exercises the literal route once per decision).  `needed` lists the
+    outer variables the plan reads; `check` is the compiled matrix."""
+    try:
+        code_env = {v: encode(env[v], ctx.code_budget)
+                    for v in needed if v in env}
+    except BudgetExceeded:
+        return None
+    witness = _solve_chain(plan, code_env, ctx)
+    if not witness:
+        return witness  # False, or None to fall back
+    inner = dict(env)
+    for v in plan.vars:
+        inner[v] = decode(witness[v], ctx.code_budget)
+    if not check(inner, ctx):
+        raise AssertionError(
+            "order-chain transport and set evaluation disagree on "
+            f"{matrix!r} at {sorted((v, witness[v]) for v in plan.vars)}")
+    return True

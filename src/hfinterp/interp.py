@@ -152,17 +152,38 @@ _A_RELS = {s: a for a, s in _D_RELS.items()}
 # a: set language -> arithmetic language (sets as codes)
 # ---------------------------------------------------------------------------
 
-def _bit_formula(s: ArithTerm, t: ArithTerm) -> ArithFormula:
-    """Bit s of t is set: exists n < t. exists m < 2^s.
-    t = 2^(s+1) * n + 2^s + m."""
-    avoid = free_vars(s) | free_vars(t)
-    n = fresh_var("n", avoid)
-    m = fresh_var("m", avoid | {n})
+def _bit_shape(s: ArithTerm, t: ArithTerm, n: str, m: str) -> ArithFormula:
+    """exists n < t. exists m < 2^s. t = 2^(s+1) * n + 2^s + m."""
     two = ALit(2)
     low = AOp("exp", (two, s))
     high = AOp("exp", (two, AOp("+", (s, ALit(1)))))
     value = AOp("+", (AOp("+", (AOp("*", (high, AVar(n))), low)), AVar(m)))
     return AExists(n, t, AExists(m, low, ARel("=", (t, value))))
+
+
+def _bit_formula(s: ArithTerm, t: ArithTerm) -> ArithFormula:
+    """Bit s of t is set: the bit shape over two fresh variables."""
+    avoid = free_vars(s) | free_vars(t)
+    n = fresh_var("n", avoid)
+    m = fresh_var("m", avoid | {n})
+    return _bit_shape(s, t, n, m)
+
+
+def bit_formula_parts(
+        f: ArithFormula) -> "tuple[ArithTerm, ArithTerm] | None":
+    """(s, t) when f says that bit s of t is set in the shape map a gives
+    it: f is the bit shape of s and t over two distinct variables free in
+    neither s nor t.  None for any other formula."""
+    if not (isinstance(f, AExists) and f.bound is not None
+            and isinstance(f.body, AExists)):
+        return None
+    low = f.body.bound
+    if not (isinstance(low, AOp) and low.op == "exp"):
+        return None
+    s, t, n, m = low.args[1], f.bound, f.var, f.body.var
+    if n == m or {n, m} & (free_vars(s) | free_vars(t)):
+        return None
+    return (s, t) if f == _bit_shape(s, t, n, m) else None
 
 
 def translate_a_term(t: SetTerm) -> ArithTerm:

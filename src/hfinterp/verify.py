@@ -34,17 +34,21 @@ from .core import (
 from .errors import BudgetExceeded, LanguageMismatch, NotAnOrdinal
 from .evaluate import EvalContext, eval_arith, eval_set
 from .formulas import (
-    AExists,
     ALit,
     AOp,
-    ARel,
     AVar,
     ArithFormula,
     children,
     free_vars,
     rebuild,
 )
-from .interp import get_map, translate_a, translate_c, translate_d
+from .interp import (
+    bit_formula_parts,
+    get_map,
+    translate_a,
+    translate_c,
+    translate_d,
+)
 from .parser import parse_arith, parse_set
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget"
@@ -475,28 +479,7 @@ def _bit_closed_form(bit: ArithFormula):
     quotient and remainder of y by the powers around bit x, so the two
     existentials can be reconstructed instead of searched.
     """
-    if not (isinstance(bit, AExists) and isinstance(bit.body, AExists)):
-        return None
-    outer, inner = bit, bit.body
-    n_var, m_var = outer.var, inner.var
-    body = inner.body
-    if not (isinstance(body, ARel) and body.op == "="):
-        return None
-    y_term, rhs = body.args
-    if not isinstance(y_term, AVar):
-        return None
-    y, x = y_term.name, None
-    if inner.bound == AOp("exp", (ALit(2), AVar("x"))):
-        x = "x"
-    if x is None or outer.bound != AVar(y) or y == x:
-        return None
-    expected = AOp("+", (
-        AOp("+", (
-            AOp("*", (AOp("exp", (ALit(2), AOp("+", (AVar(x), ALit(1))))),
-                      AVar(n_var))),
-            AOp("exp", (ALit(2), AVar(x))))),
-        AVar(m_var)))
-    if rhs != expected:
+    if bit_formula_parts(bit) != (AVar("x"), AVar("y")):
         return None
 
     def closed(cx: int, cy: int) -> bool:

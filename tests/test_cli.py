@@ -146,6 +146,34 @@ def test_function_space_past_the_enum_budget(capsys, argv):
     assert "function space exceeds the enumeration budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--set", "expa(x, y) = expa(x, y)", "-b", "x=#3", "-b", "y=#100"),
+    # its a-image: both sides read the context's code budget
+    ("--arith", "exp(x, y) = exp(x, y)", "-b", "x=3", "-b", "y=100"),
+], ids=["set", "arith"])
+def test_exponentiation_past_the_code_budget(capsys, argv):
+    # 3^100 needs 159 bits: past a budget of 64, with its slack of 64
+    rc, out, err = run(capsys, "eval", *argv, "--code-budget", "64")
+    assert (rc, out) == (2, "")
+    assert "budget" in err
+
+
+#: a bit guard on v and y whose inner variable is y again: the y of its
+#: equation is the inner one, so the guard is unsatisfiable, the
+#: implication holds for every v, and the members of y must not be walked
+CAPTURED_HOST_GUARD = (
+    "forall v < y. (exists n < y. exists y < exp(2, v). "
+    "y = exp(2, v + 1) * n + exp(2, v) + y) -> 0 = 1")
+
+
+@pytest.mark.parametrize("solver", [(), ("--no-solver",)],
+                         ids=["solver", "no-solver"])
+def test_guard_whose_inner_variable_captures_the_host(capsys, solver):
+    rc, out, _ = run(capsys, "eval", "--arith", CAPTURED_HOST_GUARD,
+                     "-b", "y=5", *solver)
+    assert (rc, out) == (0, "true\n")
+
+
 def test_eval_literal_mode_small_values(capsys):
     rc, out, _ = run(capsys, "eval", "--arith", "2 + 3 = 5",
                      "--mode", "literal")

@@ -41,13 +41,16 @@ from hfinterp.evaluate import (
 )
 from hfinterp.formulas import (
     AExists,
+    AForall,
     ALit,
     AOp,
     ARel,
     ASep,
     AVar,
+    BOUND_ORDER,
     SEmpty,
     SExists,
+    SForall,
     SLit,
     SOp,
     SRel,
@@ -436,6 +439,38 @@ def test_mode_switch_is_visible_on_context():
     with pytest.raises(BudgetExceeded):
         eval_set_term(parse_set_term("x +a x"), {"x": big},
                       lit)  # the literal route refuses codes past its cutoff
+
+
+# ---------------------------------------------------------------------------
+# quantifiers take one frame per level
+# ---------------------------------------------------------------------------
+
+def _nested(quant, bound, matrix, **kind):
+    """800 nested quantifiers over v799 ... v0, each with the same bound
+    and one value below it, around a matrix that reads v0."""
+    f = matrix
+    for i in range(800):
+        f = quant(f"v{i}", bound, f, **kind)
+    return f
+
+
+@pytest.mark.parametrize("build, evaluate", [
+    (lambda: _nested(AForall, ALit(1), ARel("=", (AVar("v0"), ALit(0)))),
+     eval_arith),
+    (lambda: _nested(AExists, ALit(1), ARel("=", (AVar("v0"), ALit(0)))),
+     eval_arith),
+    (lambda: _nested(SForall, SLit(1), SRel("=", (SVar("v0"), SEmpty()))),
+     eval_set),
+    (lambda: _nested(SExists, SLit(1), SRel("=", (SVar("v0"), SEmpty())),
+                     bound_kind=BOUND_ORDER), eval_set),
+], ids=["arith-forall", "arith-exists", "set-forall-member",
+        "set-exists-order"])
+@pytest.mark.parametrize("solver", [True, False], ids=["solver", "walk"])
+def test_nested_quantifiers_stay_inside_the_recursion_limit(
+        build, evaluate, solver):
+    # under the default limit of 1000 frames: compiling, the deciders'
+    # plans and the walk each take one frame per quantifier
+    assert evaluate(build(), {}, EvalContext(solver=solver)) is True
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from hfinterp.formulas import (
     SOp,
     SRel,
     SVar,
+    children,
     free_vars,
     show_arith,
     show_arith_term,
@@ -48,6 +49,7 @@ from hfinterp.interp import (
     MAP_O,
     MAPS,
     compose,
+    bit_formula_parts,
     get_map,
     translate_a,
     translate_a_term,
@@ -58,6 +60,7 @@ from hfinterp.interp import (
     translate_o,
 )
 from hfinterp.parser import parse_arith, parse_set, parse_set_term
+from hfinterp.verify import load_annotated_corpus, membership_bit_formula
 
 from test_formulas import random_arith, random_arith_term, random_set, \
     random_set_term
@@ -116,6 +119,42 @@ def test_a_membership_solver_matches_enumeration():
             env = {"x": cx, "y": cy}
             assert eval_arith(f, env, no_solver) \
                 is eval_arith(f, env, ctx) is ((cy >> cx) & 1 == 1)
+
+
+def _corpus_in_atoms() -> list:
+    atoms = []
+    for corpus in ("set.txt", "opei.txt", "separation.txt"):
+        for _, text in load_annotated_corpus(corpus):
+            todo = [parse_set(text)]
+            while todo:
+                node = todo.pop()
+                if isinstance(node, SRel) and node.op == "in":
+                    atoms.append(node)
+                todo.extend(children(node))
+    return atoms
+
+
+def test_bit_formula_parts_inverts_the_bit_formula():
+    atoms = _corpus_in_atoms()
+    assert len(atoms) >= 20
+    for atom in atoms:
+        parts = tuple(translate_a_term(a) for a in atom.args)
+        assert bit_formula_parts(translate_a(atom)) == parts, atom
+
+
+@pytest.mark.parametrize("mutation", ["successor", "bit-formula"])
+def test_bit_formula_parts_rejects_the_mutated_bit_formulas(mutation):
+    assert bit_formula_parts(membership_bit_formula(mutation)) is None
+
+
+def test_bit_formula_parts_rejects_an_inner_variable_capturing_the_host():
+    shape = ("exists n < y. exists {m} < exp(2, v). "
+             "y = exp(2, v + 1) * n + exp(2, v) + {m}")
+    assert bit_formula_parts(parse_arith(shape.format(m="m"))) == \
+        (AVar("v"), AVar("y"))
+    # with the inner variable named y, the y of the equation is the
+    # inner one: this says nothing about bit v of the outer y
+    assert bit_formula_parts(parse_arith(shape.format(m="y"))) is None
 
 
 def test_a_formula_agreement_random():
