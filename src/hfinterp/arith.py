@@ -21,6 +21,8 @@ from . import cardinal
 from .core import (
     DEFAULT_BIT_BUDGET,
     DEFAULT_ENUM_BUDGET,
+    FAST,
+    LITERAL,
     HFSet,
     decode,
     encode,
@@ -34,8 +36,6 @@ from .order import (
     position,
 )
 
-LITERAL = "literal"
-FAST = "fast"
 DEFAULT_LITERAL_CUTOFF = 64
 
 # function spaces up to this many graphs are materialized in literal mode;
@@ -51,6 +51,15 @@ def _segment_field(x: HFSet, literal_cutoff: int) -> HFSet:
             f"literal mode needs operand position <= {literal_cutoff}")
     items = ack_order(MAX_MATERIALIZED_LEVEL).items
     return from_children(items[1:pos + 1])
+
+
+def _segments(x: HFSet, y: HFSet, mode: str,
+              literal_cutoff: int) -> "tuple[HFSet, HFSet]":
+    """Both operands' segment fields, for the literal route; any mode but
+    the two routes is refused rather than taken for the literal one."""
+    if mode != LITERAL:
+        raise ValueError(f"unknown arithmetic mode {mode!r}")
+    return _segment_field(x, literal_cutoff), _segment_field(y, literal_cutoff)
 
 
 def _scan_to_segment_card(target: "HFSet | None", want: int,
@@ -77,8 +86,7 @@ def add_a(x: HFSet, y: HFSet, mode: str = FAST, *,
     """Ordering addition: segment of the result ~ tagged union of segments."""
     if mode == FAST:
         return decode(encode(x) + encode(y))
-    a = _segment_field(x, literal_cutoff)
-    b = _segment_field(y, literal_cutoff)
+    a, b = _segments(x, y, mode, literal_cutoff)
     target = cardinal.card_add(a, b, enum_budget)
     return _scan_to_segment_card(target, cardinal.card(target), enum_budget)
 
@@ -89,8 +97,7 @@ def mul_a(x: HFSet, y: HFSet, mode: str = FAST, *,
     """Ordering multiplication: segment of the result ~ segment product."""
     if mode == FAST:
         return decode(encode(x) * encode(y))
-    a = _segment_field(x, literal_cutoff)
-    b = _segment_field(y, literal_cutoff)
+    a, b = _segments(x, y, mode, literal_cutoff)
     target = cardinal.product(a, b, enum_budget)
     return _scan_to_segment_card(target, cardinal.card(target), enum_budget)
 
@@ -107,8 +114,7 @@ def exp_a(x: HFSet, y: HFSet, mode: str = FAST, *,
         if cx >= 2 and cy * (cx.bit_length()) > code_budget + 64:
             raise BudgetExceeded("exponentiation result exceeds bit budget")
         return decode(cx ** cy)
-    a = _segment_field(x, literal_cutoff)
-    b = _segment_field(y, literal_cutoff)
+    a, b = _segments(x, y, mode, literal_cutoff)
     na, nb = cardinal.card(a), cardinal.card(b)
     if 0 < na ** nb <= _EXP_MATERIALIZE_CAP:
         target = cardinal.card_exp(a, b, enum_budget)

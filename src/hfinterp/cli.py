@@ -2,57 +2,61 @@
 formulas in either language, and run the verification suites.
 
 Exit codes: 0 success (all cases pass / formula true), 1 a case failed or
-the formula is false, 2 only budget incompletions, 64 syntax error,
-65 language mismatch.
+the formula is false, 2 only budget incompletions, 64 syntax or usage
+error, 65 language mismatch, 66 unreadable corpus, 70 internal error.
+
+Each command imports only the modules it runs, so `encode` and `decode`
+load `core` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from datetime import datetime, timezone
 
-from .arith import FAST, LITERAL
-from .core import decode, encode, format_set, parse_set_literal
+from .core import FAST, LITERAL, decode, encode, format_set, parse_set_literal
 from .errors import (
     BudgetExceeded,
+    CorpusUnreadable,
     FormulaSyntaxError,
     LanguageMismatch,
     NotAnOrdinal,
 )
-from .evaluate import (
-    EvalContext,
-    eval_arith,
-    eval_arith_term,
-    eval_set,
-    eval_set_term,
-)
-from .formulas import free_vars, is_bounded, show_arith, show_set
-from .interp import get_map
-from .parser import (
-    parse_arith,
-    parse_arith_term,
-    parse_set,
-    parse_set_term,
-)
-from .verify import Report, run_suite
 
 SUITES = ("axioms", "opei", "theorem6", "roundtrip-ad", "roundtrip-da",
           "cardinal", "selftest", "all")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64, like syntax errors; 2 means budget here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {n}")
+        return n
+    parse.__name__ = "int"  # a non-integer reads "invalid int value"
+    return parse
+
+
 def _add_context_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nat-cutoff", type=int, default=256,
+    p.add_argument("--nat-cutoff", type=_at_least(0), default=256,
                    help="range of unbounded arithmetic quantifiers")
-    p.add_argument("--set-cutoff", type=int, default=256,
+    p.add_argument("--set-cutoff", type=_at_least(0), default=256,
                    help="code range of unbounded set quantifiers")
-    p.add_argument("--code-budget", type=int, default=1 << 20,
+    p.add_argument("--code-budget", type=_at_least(0), default=1 << 20,
                    help="bit-length cap on computed codes")
-    p.add_argument("--enum-budget", type=int, default=1 << 20,
+    p.add_argument("--enum-budget", type=_at_least(0), default=1 << 20,
                    help="cap on enumerated collections")
-    p.add_argument("--literal-cutoff", type=int, default=64,
+    p.add_argument("--literal-cutoff", type=_at_least(0), default=64,
                    help="operand position cap for literal-mode arithmetic")
     p.add_argument("--mode", choices=(FAST, LITERAL), default=FAST,
                    help="route for the order-arithmetic operations")
@@ -60,7 +64,9 @@ def _add_context_args(p: argparse.ArgumentParser) -> None:
                    help="turn off the quantifier deciders; walk each domain")
 
 
-def _context(args: argparse.Namespace) -> EvalContext:
+def _context(args: argparse.Namespace):
+    from .evaluate import EvalContext
+
     return EvalContext(
         nat_cutoff=args.nat_cutoff,
         set_cutoff=args.set_cutoff,
@@ -73,7 +79,7 @@ def _context(args: argparse.Namespace) -> EvalContext:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hf",
         description="Hereditarily finite sets, their coding as naturals, "
                     "and interpretations between the two languages.")
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="run a verification suite")
     ve.add_argument("suite", choices=SUITES)
-    ve.add_argument("--max-code", type=int, default=4096,
+    ve.add_argument("--max-code", type=_at_least(1), default=4096,
                     help="exhaustive pair range for the membership suite")
     ve.add_argument("--corpus", default=None,
                     help="corpus file overriding the packaged one")
@@ -133,6 +139,10 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .formulas import show_arith, show_set
+    from .interp import get_map
+    from .parser import parse_arith, parse_set
+
     m = get_map(args.map_tag)
     if m.source == "arith":
         f = parse_arith(args.formula)
@@ -143,7 +153,11 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-def _parse_bindings(args, ctx: EvalContext) -> dict:
+def _parse_bindings(args, ctx) -> dict:
+    from .evaluate import eval_arith_term, eval_set_term
+    from .formulas import free_vars
+    from .parser import parse_arith_term, parse_set_term
+
     env = {}
     for item in args.bind:
         if "=" not in item:
@@ -167,6 +181,10 @@ def _parse_bindings(args, ctx: EvalContext) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluate import eval_arith, eval_set
+    from .formulas import free_vars, is_bounded
+    from .parser import parse_arith, parse_set
+
     ctx = _context(args)
     env = _parse_bindings(args, ctx)
     if args.set_lang:
@@ -189,7 +207,9 @@ def _cmd_eval(args) -> int:
     return 0 if value else 1
 
 
-def _human_report(rep: Report) -> str:
+def _human_report(rep) -> str:
+    import json
+
     lines = [f"suite: {rep.suite}"]
     ctx_items = ", ".join(f"{k}={v}" for k, v in rep.context.items())
     lines.append(f"  context: {ctx_items}")
@@ -208,6 +228,11 @@ def _human_report(rep: Report) -> str:
 
 
 def _cmd_verify(args) -> int:
+    import json
+    from datetime import datetime, timezone
+
+    from .verify import run_suite
+
     ctx = _context(args)
     t0 = time.perf_counter()
     reports = run_suite(args.suite, ctx, max_code=args.max_code,
@@ -257,6 +282,17 @@ def main(argv: "list[str] | None" = None) -> int:
         print("budget: input nested too deeply for the recursion limit",
               file=sys.stderr)
         return 2
+    except CorpusUnreadable as e:
+        print(f"cannot read corpus: {e}", file=sys.stderr)
+        return 66
+    except Exception:
+        # exit 1 means "a case failed or the formula is false": a defect
+        # must never read as a verdict
+        import traceback
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 70
 
 
 if __name__ == "__main__":

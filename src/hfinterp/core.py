@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import weakref
 from functools import cmp_to_key
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, FormulaSyntaxError, NotAnOrdinal
 
 DEFAULT_BIT_BUDGET = 1 << 20
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+#: the two routes of the order arithmetic (see `arith`)
+FAST = "fast"
+LITERAL = "literal"
 
 # bit positions set in each byte value, used to stream the bits of big codes
 _BYTE_BITS = tuple(
@@ -71,6 +76,10 @@ class HFSet:
 
 _INTERN: "weakref.WeakValueDictionary[tuple, HFSet]" = weakref.WeakValueDictionary()
 _DECODE: "weakref.WeakValueDictionary[int, HFSet]" = weakref.WeakValueDictionary()
+# the tables' own dicts of weak refs, read directly on the bulk paths (a
+# dead ref reads None, like a miss); every write goes through the tables
+_INTERN_REFS = _INTERN.data
+_DECODE_REFS = _DECODE.data
 
 
 def _code_of_sorted(children: "tuple[HFSet, ...]") -> "int | None":
@@ -94,13 +103,33 @@ def _code_of_sorted(children: "tuple[HFSet, ...]") -> "int | None":
 
 def _intern_sorted(children: "tuple[HFSet, ...]") -> HFSet:
     """Intern a node whose children are already sorted and duplicate-free."""
-    node = _INTERN.get(children)
+    ref = _INTERN_REFS.get(children)
+    node = None if ref is None else ref()
     if node is None:
         # max() over all children: rank order and code order provably
         # coincide, but rank must not silently assume that here.
-        rank = max(c.rank for c in children) + 1 if children else 0
-        node = HFSet(children, rank, _code_of_sorted(children))
-        node = _INTERN.setdefault(children, node)
+        rank = max(map(attrgetter("rank"), children)) + 1 if children else 0
+        node = _INTERN[children] = HFSet(children, rank,
+                                         _code_of_sorted(children))
+    return node
+
+
+def _extend(t: HFSet, c: HFSet) -> HFSet:
+    """t with c adjoined, where c sorts after every member of t.
+
+    Rank and code are what `_intern_sorted` derives from the members,
+    computed from t's: c's bit joins t's code, and the code is None when
+    either is None or c's bit lies past the default bit budget.
+    """
+    children = t.children + (c,)
+    ref = _INTERN_REFS.get(children)
+    node = None if ref is None else ref()
+    if node is None:
+        tc, cc = t._code, c._code
+        code = None if tc is None or cc is None or cc >= DEFAULT_BIT_BUDGET \
+            else tc | 1 << cc
+        node = _INTERN[children] = HFSet(children, max(t.rank, c.rank + 1),
+                                         code)
     return node
 
 
@@ -169,14 +198,10 @@ def encode(x: HFSet, budget: "int | None" = None) -> int:
     return code
 
 
-def _bit_positions(n: int) -> "Iterator[int]":
-    size = (n.bit_length() + 7) // 8
-    data = n.to_bytes(size, "little")
-    for i, byte in enumerate(data):
-        if byte:
-            base = i << 3
-            for b in _BYTE_BITS[byte]:
-                yield base + b
+def _bit_positions(n: int) -> "list[int]":
+    data = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    return [i << 3 | b for i, byte in enumerate(data) if byte
+            for b in _BYTE_BITS[byte]]
 
 
 def decode(n: int, budget: "int | None" = None) -> HFSet:
@@ -187,10 +212,17 @@ def decode(n: int, budget: "int | None" = None) -> HFSet:
     if n.bit_length() > budget:
         raise BudgetExceeded(
             f"code needs {n.bit_length()} bits, budget is {budget}")
-    node = _DECODE.get(n)
+    ref = _DECODE_REFS.get(n)
+    node = None if ref is None else ref()
     if node is None:
-        children = tuple(decode(i, budget) for i in _bit_positions(n))
-        node = _intern_sorted(children)  # bit order is code order: presorted
+        bits = _bit_positions(n)
+        get = _DECODE_REFS.get
+        kids = [None if (r := get(i)) is None else r() for i in bits]
+        children = tuple([decode(i, budget) if c is None else c
+                          for i, c in zip(bits, kids)])
+        # bit order is code order: presorted; the code is still worked
+        # out from the members, never taken from n
+        node = _intern_sorted(children)
         _DECODE[n] = node
     return node
 
@@ -230,12 +262,13 @@ def powerset(x: HFSet, enum_budget: "int | None" = None) -> HFSet:
     k = len(x.children)
     if (1 << k) > cap:
         raise BudgetExceeded(f"powerset would enumerate 2^{k} subsets")
-    # doubling keeps mask order: subs[mask] picks cs[i] for each bit i of
-    # mask, and appending in code order keeps every tuple sorted
-    subs: "list[tuple[HFSet, ...]]" = [()]
+    # doubling keeps mask order: subs[mask] holds x's member i for each
+    # bit i of mask, and each member is adjoined after all smaller ones,
+    # so every subset is interned straight from the subset one bit lower
+    subs = [_EMPTY]
     for c in x.children:
-        subs += [t + (c,) for t in subs]
-    return from_children([_intern_sorted(t) for t in subs])
+        subs += [_extend(t, c) for t in subs]
+    return from_children(subs)
 
 
 def adjoin(x: HFSet, z: HFSet) -> HFSet:

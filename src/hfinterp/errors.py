@@ -28,3 +28,7 @@ class FormulaSyntaxError(ValueError):
         super().__init__(message)
         self.text = text
         self.pos = pos
+
+
+class CorpusUnreadable(OSError):
+    """A corpus named by path or packaged name could not be read."""

@@ -81,10 +81,11 @@ from functools import partial
 from operator import itemgetter
 
 from . import cardinal, order
-from .arith import FAST, add_a, exp_a, mul_a
+from .arith import add_a, exp_a, mul_a
 from .core import (
     DEFAULT_BIT_BUDGET,
     DEFAULT_ENUM_BUDGET,
+    FAST,
     HFSet,
     _bit_positions,
     adjoin,

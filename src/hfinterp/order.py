@@ -81,13 +81,16 @@ def ack_order(m: int) -> LinearOrder:
 
     Stage m+1 sorts all subsets of stage m's carrier with the
     lexicographic rule over stage m, used as a key: a subset's positions
-    in stage m, in descending order.  Comparing two such sequences finds
-    the greatest element on which the subsets disagree, and a prefix
-    (the subset lacking it) sorts first, which is exactly `lex_less`, the
-    comparator the tests check this order against.  No code enters the
-    key.  The input enumeration is shuffled (fixed seed) before sorting
-    so the construction order cannot leak into the result; only the key
-    determines it.
+    in stage m, in descending order, as bytes.  Comparing two such
+    sequences finds the greatest element on which the subsets disagree,
+    and a prefix (the subset lacking it) sorts first, which is exactly
+    `lex_less`, the comparator the tests check this order against.  No
+    code enters the key.  Every position fits a byte: stage 4, the
+    largest carrier a materialized level is sorted over, has 16 members,
+    and `bytes()` raises rather than wrap should `MAX_MATERIALIZED_LEVEL`
+    ever pass 5.  The input enumeration is shuffled (fixed seed) before
+    sorting so the construction order cannot leak into the result; only
+    the key determines it.
     """
     if m < 0:
         raise ValueError("levels are indexed by naturals")
@@ -100,8 +103,8 @@ def ack_order(m: int) -> LinearOrder:
         index = _ACK_ORDERS[k - 1].index
         subsets = list(materialize_level(k).children)
         random.Random(0xACC0 + k).shuffle(subsets)
-        subsets.sort(key=lambda s: sorted(
-            [index[c] for c in s.children], reverse=True))
+        subsets.sort(key=lambda s: bytes(sorted(
+            map(index.__getitem__, s.children), reverse=True)))
         _ACK_ORDERS[k] = LinearOrder(tuple(subsets))
     return _ACK_ORDERS[m]
 

@@ -16,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import cardinal
-from .arith import LITERAL
 from .core import (
+    LITERAL,
     HFSet,
     adjoin,
     decode,
@@ -31,7 +31,12 @@ from .core import (
     separate,
     sumset,
 )
-from .errors import BudgetExceeded, LanguageMismatch, NotAnOrdinal
+from .errors import (
+    BudgetExceeded,
+    CorpusUnreadable,
+    LanguageMismatch,
+    NotAnOrdinal,
+)
 from .evaluate import EvalContext, eval_arith, eval_set
 from .formulas import (
     ALit,
@@ -151,11 +156,15 @@ def load_corpus(source) -> "list[str]":
         raw = list(source)
     else:
         p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            text = (resources.files("hfinterp") / "corpus"
-                    / str(source)).read_text()
+        try:
+            if p.exists():
+                text = p.read_text()
+            else:
+                text = (resources.files("hfinterp") / "corpus"
+                        / str(source)).read_text()
+        except OSError as e:
+            raise CorpusUnreadable(
+                f"{source}: {e.strerror or e}") from e
         raw = text.splitlines()
     out = []
     for line in raw:

@@ -1,15 +1,23 @@
 """Command-line interface: subcommands, verdict wording, exit codes.
 
-Exit code contract: 0 pass/true, 1 fail/false, 2 budget, 64 syntax
-error, 65 language mismatch.
+Exit code contract: 0 pass/true, 1 fail/false, 2 budget, 64 syntax or
+usage error, 65 language mismatch, 66 unreadable corpus, 70 internal
+error.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hfinterp import cli
 from hfinterp.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -296,10 +304,85 @@ def test_verify_opei_small_cutoffs_pass(capsys):
 
 
 def test_verify_unknown_suite_rejected(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
+    assert exc.value.code == 64
 
 
 def test_missing_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------------------
+# usage errors, unreadable input, internal errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem6", "--max-code", "0"],
+    ["verify", "theorem6", "--max-code", "-5"],
+    ["eval", "--arith", "forall x. x = x", "--nat-cutoff", "-1"],
+    ["eval", "--set", "forall x. x = x", "--set-cutoff", "-1"],
+    ["eval", "--arith", "0 = 0", "--code-budget", "-1"],
+    ["eval", "--arith", "0 = 0", "--enum-budget", "-1"],
+    ["eval", "--arith", "0 = 0", "--literal-cutoff", "-1"],
+    ["eval", "--arith", "0 = 0", "--nat-cutoff", "ten"],
+])
+def test_out_of_range_numeric_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_zero_cutoffs_and_budgets_are_accepted(capsys):
+    rc, out, _ = run(capsys, "eval", "--arith", "forall x. x = x",
+                     "--nat-cutoff", "0")
+    assert (rc, out) == (0, "true at cutoff 0\n")
+
+
+@pytest.mark.parametrize("corpus", ["dir", "missing.txt"])
+def test_unreadable_corpus_exits_66(tmp_path, capsys, corpus):
+    rc, out, err = run(capsys, "verify", "opei", "--corpus",
+                       str(tmp_path / corpus) if corpus != "dir"
+                       else str(tmp_path), "--no-timestamp")
+    assert rc == 66 and out == ""
+    assert err.startswith("cannot read corpus: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_decode", boom)
+    rc, out, err = run(capsys, "decode", "3")
+    assert rc == 70 and out == ""
+    assert err.startswith("internal error:\n")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# ---------------------------------------------------------------------------
+# each command loads only what it runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,absent", [
+    (["decode", "5"], ("evaluate", "formulas", "order", "verify")),
+    (["encode", "{{}, #2}"], ("evaluate", "formulas", "order", "verify")),
+    (["translate", "--map", "a", "x in y"], ("evaluate", "verify")),
+    (["eval", "--set", "x in y", "-b", "x=#1", "-b", "y=#3"], ("verify",)),
+])
+def test_command_imports_only_what_it_runs(argv, absent):
+    # a fresh interpreter per command: this test process has every
+    # module loaded already
+    script = ("import sys\n"
+              "from hfinterp import cli\n"
+              f"rc = cli.main({argv!r})\n"
+              "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    p = subprocess.run([sys.executable, "-c", "import json\n" + script],
+                       capture_output=True, text=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert p.returncode == 0, p.stderr
+    rc, loaded = json.loads(p.stdout.splitlines()[-1])
+    assert rc == 0
+    assert not {f"hfinterp.{m}" for m in absent} & set(loaded)

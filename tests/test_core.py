@@ -277,3 +277,33 @@ def test_from_children_matches_mirror(codes):
     x = core.from_children([core.decode(c) for c in codes])
     assert to_mirror(x) == frozenset(mirror(c) for c in codes)
     assert core.encode(x) == code_of_mirror(frozenset(mirror(c) for c in codes))
+
+
+# --- bulk construction against the member-by-member derivation -------------
+
+def test_level_five_members_derive_code_and_rank_from_members():
+    for s in core.materialize_level(5).children:
+        assert s._code == core._code_of_sorted(s.children)
+        assert s.rank == (1 + max(c.rank for c in s.children)
+                          if s.children else 0)
+
+
+def test_powerset_past_the_bit_budget_keeps_codes_unmaterialized():
+    wide = core.decode(1 << (1 << 20), budget=(1 << 20) + 1)
+    subs = core.powerset(core.from_children([core.empty(), wide])).children
+    assert [s._code for s in subs] == [0, 1, None, None]
+    assert [s.rank for s in subs] == [0, 1, 7, 7]
+
+
+@pytest.mark.parametrize("bits,seed", [(20000, 0), (20000, 1),
+                                       (70000, 2), (70000, 3)])
+def test_wide_decode_children_are_the_set_bits(bits, seed):
+    # codes past 65535 (rank 6) are not interned by any level, so the
+    # 70000-bit codes take the decode fallback for some children
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    x = core.decode(n)
+    set_bits = [i for i, b in enumerate(reversed(bin(n)[2:])) if b == "1"]
+    assert [core.encode(c) for c in x.children] == set_bits
+    assert all(c is core.decode(i) for c, i in zip(x.children, set_bits))
+    assert core.encode(x) == n
+    assert x is core.from_children([core.decode(i) for i in set_bits])

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-module-level name goes unread.
+"""Source hygiene: no module imports a name it never uses, no private
+module-level name goes unread, and only the CLI imports inside functions.
 
 A stdlib `ast` scan over the package, so it runs wherever the tests run.
 The import check skips `__init__.py`, which imports names to re-export
@@ -118,3 +118,16 @@ def test_every_private_module_level_name_is_read():
     dead = [f"{module}:{line} {name}" for module, line, name, stmt in defined
             if not readers.get(name, set()) - {stmt}]
     assert not dead, f"private names that no module reads: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_level_imports_only_at_the_cli_edge(path):
+    # the CLI imports what each command runs, inside its handler; every
+    # other module imports at module level, so its dependencies show
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inner = sorted(node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert path.name == "cli.py" or not inner, \
+        f"{path.name} imports inside functions at lines {inner}"
