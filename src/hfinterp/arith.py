@@ -13,6 +13,14 @@ and must never be collapsed:
   tagged unions / pair sets / function counts;
 - ``fast`` transports the operands to their codes, uses machine
   arithmetic, and decodes the result.
+
+`core` interns sets weakly, so a Kuratowski pair dies with the last set
+holding it and the next construction builds it again.  Literal addition
+therefore keeps both tagged pairs of every order position it has read
+(at most `literal_cutoff` positions, since no operand lies past it): each
+later `card_add` finds them interned and builds only its union.
+Multiplication and exponentiation keep nothing; their pairs would grow
+with the square of the cutoff.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ DEFAULT_LITERAL_CUTOFF = 64
 # function spaces up to this many graphs are materialized in literal mode;
 # larger ones are counted by enumeration without building the graphs
 _EXP_MATERIALIZE_CAP = 4096
+
+# both tagged pairs, as `cardinal.card_add` builds them, of the order items
+# at positions 1..len(_TAGGED_READ) // 2: the positions literal addition
+# has read, bounded by the largest literal cutoff used
+_TAGGED_READ: "list[HFSet]" = []
 
 
 def _segment_field(x: HFSet, literal_cutoff: int) -> HFSet:
@@ -80,14 +93,28 @@ def _scan_to_segment_card(target: "HFSet | None", want: int,
     raise AssertionError("unreachable")
 
 
+def _keep_tagged_pairs(n: int) -> None:
+    """Keep alive both tagged pairs of the order items at positions 1..n."""
+    read = len(_TAGGED_READ) // 2
+    if n > read:
+        items = ack_order(MAX_MATERIALIZED_LEVEL).items
+        new = from_children(items[read + 1:n + 1])
+        _TAGGED_READ.extend(cardinal.card_add(new, new).children)
+
+
 def add_a(x: HFSet, y: HFSet, mode: str = FAST, *,
           literal_cutoff: int = DEFAULT_LITERAL_CUTOFF,
           enum_budget: int = DEFAULT_ENUM_BUDGET) -> HFSet:
-    """Ordering addition: segment of the result ~ tagged union of segments."""
+    """Ordering addition: segment of the result ~ tagged union of segments.
+
+    The literal route keeps the tagged pairs of the positions it has read,
+    so a repeated addition finds them interned instead of rebuilding them.
+    """
     if mode == FAST:
         return decode(encode(x) + encode(y))
     a, b = _segments(x, y, mode, literal_cutoff)
     target = cardinal.card_add(a, b, enum_budget)
+    _keep_tagged_pairs(max(cardinal.card(a), cardinal.card(b)))
     return _scan_to_segment_card(target, cardinal.card(target), enum_budget)
 
 

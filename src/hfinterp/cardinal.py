@@ -105,20 +105,23 @@ def card_lt(x: HFSet, y: HFSet) -> bool:
     return inj_exists(x, y) and not inj_exists(y, x)
 
 
-_TAG0 = None
-_TAG1 = None
+# the tags of `card_add`'s two sides: 0 = {} and 1 = {{}}
+_TAG0 = empty()
+_TAG1 = singleton(_TAG0)
 
 
 def card_add(x: HFSet, y: HFSet,
              enum_budget: "int | None" = None) -> HFSet:
-    """Tagged disjoint union: (x X {0}) U (y X {1}) with set tags."""
-    global _TAG0, _TAG1
-    if _TAG0 is None:
-        _TAG0 = singleton(empty())          # {0}
-        _TAG1 = singleton(singleton(empty()))  # {1}
-    left = product(x, _TAG0, enum_budget)
-    right = product(y, _TAG1, enum_budget)
-    return from_children(list(left.children) + list(right.children))
+    """Tagged disjoint union (x X {0}) U (y X {1}) with set tags, built as
+    one union of the pairs (a, 0) and (b, 1).  It refuses what the two
+    products would: a side with more members than the enumeration
+    budget."""
+    cap = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
+    if len(x.children) > cap or len(y.children) > cap:
+        raise BudgetExceeded("product exceeds the enumeration budget")
+    return from_children(
+        [kpair(a, _TAG0) for a in x.children]
+        + [kpair(b, _TAG1) for b in y.children])
 
 
 def card_exp(x: HFSet, y: HFSet,

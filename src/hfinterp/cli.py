@@ -22,6 +22,7 @@ from .errors import (
     FormulaSyntaxError,
     LanguageMismatch,
     NotAnOrdinal,
+    UsageError,
 )
 
 SUITES = ("axioms", "opei", "theorem6", "roundtrip-ad", "roundtrip-da",
@@ -269,6 +270,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return handlers[args.command](args)
     except FormulaSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
+        return 64
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
         return 64
     except LanguageMismatch as e:
         print(f"language mismatch: {e}", file=sys.stderr)

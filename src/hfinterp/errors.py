@@ -30,5 +30,9 @@ class FormulaSyntaxError(ValueError):
         self.pos = pos
 
 
+class UsageError(ValueError):
+    """Arguments that parse but do not go together."""
+
+
 class CorpusUnreadable(OSError):
     """A corpus named by path or packaged name could not be read."""

@@ -36,6 +36,7 @@ from .errors import (
     CorpusUnreadable,
     LanguageMismatch,
     NotAnOrdinal,
+    UsageError,
 )
 from .evaluate import EvalContext, eval_arith, eval_set
 from .formulas import (
@@ -931,7 +932,14 @@ def replay(counterexample: "dict | None",
 
 def run_suite(name: str, ctx: "EvalContext | None" = None, *,
               max_code: int = 4096, corpus=None) -> "list[Report]":
-    """Run a named suite (or ``all``) and return its reports."""
+    """Run a named suite (or ``all``) and return its reports.
+
+    `corpus` overrides one suite's corpus; ``all`` runs every suite on its
+    packaged corpus and refuses one.
+    """
+    if name == "all" and corpus is not None:
+        raise UsageError("a corpus names one suite's corpus; "
+                         "suite 'all' runs the packaged corpora")
     ctx = ctx or EvalContext()
     if name == "axioms":
         return [check_axioms(ctx, corpus or DEFAULT_SEPARATION_CORPUS)]

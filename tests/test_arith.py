@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfinterp import arith, cardinal, core
 from hfinterp.arith import (
     FAST,
     LITERAL,
@@ -11,8 +12,8 @@ from hfinterp.arith import (
     exp_a,
     mul_a,
 )
-from hfinterp.core import decode, empty, encode
-from hfinterp.order import ack_less, successor_a
+from hfinterp.core import decode, empty, encode, from_children
+from hfinterp.order import ack_less, ack_order, successor_a
 from hfinterp.errors import BudgetExceeded
 
 
@@ -115,3 +116,42 @@ def test_empty_set_is_the_additive_identity():
         assert add_a(x, z) is x
         if n <= 64:
             assert add_a(z, x, LITERAL) is x
+
+
+def test_repeated_literal_addition_rebuilds_no_tagged_pair(monkeypatch):
+    # sets are interned weakly: unless literal addition keeps its tagged
+    # pairs alive, a second identical addition builds its 90 Kuratowski
+    # pairs (three nodes each) again
+    x, y, z = decode(40), decode(50), decode(90)
+    assert add_a(x, y, LITERAL) is z
+    built = []
+    init = core.HFSet.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(core.HFSet, "__init__", counting_init)
+    assert add_a(x, y, LITERAL) is z
+    # the two segment fields, the tagged union and the scan's field
+    assert len(built) <= 4
+
+
+def test_kept_tagged_pairs_stay_within_the_literal_cutoff(monkeypatch):
+    monkeypatch.setattr(arith, "_TAGGED_READ", [])
+    for n in range(17):
+        assert add_a(decode(n), decode(16 - n), LITERAL,
+                     literal_cutoff=16) is decode(16)
+    items = ack_order(arith.MAX_MATERIALIZED_LEVEL).items
+    segment = from_children(items[1:17])
+    kept = list(arith._TAGGED_READ)
+    assert len(kept) == 2 * 16
+    assert set(kept) == set(cardinal.card_add(segment, segment).children)
+    # refused additions keep nothing more: past the cutoff, and past the
+    # enumeration budget
+    with pytest.raises(BudgetExceeded):
+        add_a(decode(17), decode(1), LITERAL, literal_cutoff=16)
+    with pytest.raises(BudgetExceeded):
+        add_a(decode(30), decode(1), LITERAL, literal_cutoff=32,
+              enum_budget=20)
+    assert arith._TAGGED_READ == kept

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,51 @@ def test_card_add_is_disjoint_union():
     zero, one = core.empty(), core.singleton(core.empty())
     tags = {cardinal.kpair_parts(p)[1] for p in s2.children}
     assert tags == {zero, one}
+
+
+def _two_product_card_add(x, y, enum_budget=None):
+    """The tagged union as (x X {0}) U (y X {1}): two products and their
+    union, the construction `card_add` is checked against."""
+    zero = core.empty()
+    left = cardinal.product(x, core.singleton(zero), enum_budget)
+    right = cardinal.product(y, core.singleton(core.singleton(zero)),
+                             enum_budget)
+    return core.from_children(list(left.children) + list(right.children))
+
+
+def _card_add_operands():
+    v3 = core.materialize_level(3).children
+    yield from itertools.product(v3, repeat=2)
+    rng = random.Random(4096)
+    for _ in range(40):
+        yield tuple(core.decode(rng.randrange(4096)) for _ in "xy")
+    # members with no code: a Kuratowski pair of a set coded 20 or more
+    # has a code past the bit budget
+    wide = [cardinal.kpair(core.decode(c), core.decode(d))
+            for c in (20, 23, 1 << 12) for d in (0, 5)]
+    assert all(w._code is None for w in wide)
+    mixed = [core.from_children(wide[i:i + k] + [core.decode(k)])
+             for i in range(0, 6, 2) for k in (1, 3)]
+    for x in [core.empty(), core.from_children(wide)] + mixed:
+        for y in [core.decode(7), core.from_children(wide[1:4])] + mixed:
+            yield x, y
+
+
+def test_card_add_is_the_union_of_the_two_tagged_products():
+    for x, y in _card_add_operands():
+        assert cardinal.card_add(x, y) is _two_product_card_add(x, y)
+
+
+def test_card_add_budget_is_the_two_products_budget():
+    for x, y in _card_add_operands():
+        n = max(cardinal.card(x), cardinal.card(y))
+        messages = []
+        for build in (cardinal.card_add, _two_product_card_add):
+            with pytest.raises(BudgetExceeded) as exc:
+                build(x, y, n - 1)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert cardinal.card_add(x, y, n) is _two_product_card_add(x, y, n)
 
 
 def test_card_exp_counts_functions():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hfinterp import cli
+from hfinterp import cli, verify
 from hfinterp.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -349,6 +349,20 @@ def test_unreadable_corpus_exits_66(tmp_path, capsys, corpus):
                        else str(tmp_path), "--no-timestamp")
     assert rc == 66 and out == ""
     assert err.startswith("cannot read corpus: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("corpus", ["missing.txt", "readable.txt"])
+def test_verify_all_refuses_a_corpus(tmp_path, capsys, monkeypatch, corpus):
+    # 'all' runs every suite on its packaged corpus, so a corpus is a
+    # usage error whether or not the file can be read, and nothing runs
+    path = tmp_path / corpus
+    if corpus == "readable.txt":
+        path.write_text("base :: x = x\n")
+    monkeypatch.setattr(verify, "check_axioms", None)  # the first to run
+    rc, out, err = run(capsys, "verify", "all", "--corpus", str(path),
+                       "--no-timestamp")
+    assert rc == 64 and out == ""
+    assert err.startswith("usage error: a corpus") and err.count("\n") == 1
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -1,14 +1,19 @@
 """Source hygiene: no module imports a name it never uses, no private
-module-level name goes unread, and only the CLI imports inside functions.
+module-level name goes unread, only the CLI imports inside functions, and
+only the listed module-level containers grow with use.
 
-A stdlib `ast` scan over the package, so it runs wherever the tests run.
-The import check skips `__init__.py`, which imports names to re-export
-them.
+The first three are a stdlib `ast` scan over the package, so they run
+wherever the tests run.  The import check skips `__init__.py`, which
+imports names to re-export them.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +136,94 @@ def test_function_level_imports_only_at_the_cli_edge(path):
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert path.name == "cli.py" or not inner, \
         f"{path.name} imports inside functions at lines {inner}"
+
+
+#: (module, name) of every module-level container that grows with use, and
+#: the bound on its size
+GROWING = {
+    # weak: an entry dies with its set
+    ("core", "_INTERN"),
+    ("core", "_INTERN_REFS"),  # _INTERN's dict of weak refs
+    ("core", "_DECODE"),
+    ("core", "_DECODE_REFS"),  # _DECODE's dict of weak refs
+    # <= 6 each, V_0..V_5 and their orderings: V_6 has 2^65536 members
+    ("core", "_LEVELS"),
+    ("order", "_ACK_ORDERS"),
+    # unbounded, ROADMAP B
+    ("core", "_VN_CHAIN"),
+    ("order", "_MEMBER_CMP"),
+    ("order", "_ENUM_EXT"),
+    # <= 2 x the largest literal_cutoff pairs
+    ("arith", "_TAGGED_READ"),
+}
+
+# every corpus line and its single-map images on the four mode x solver
+# routes, then literal additions up to the cutoff and one literal
+# exponentiation past the materialized ordering; prints the (module,
+# name) of each module-level container whose length changed
+_INVENTORY = """
+import importlib, json, pkgutil, weakref
+import hfinterp
+modules = [hfinterp] + [importlib.import_module(f"hfinterp.{m.name}")
+                        for m in pkgutil.iter_modules(hfinterp.__path__)]
+kinds = (dict, list, set, weakref.WeakValueDictionary,
+         weakref.WeakKeyDictionary, weakref.WeakSet)
+
+def sizes():
+    return {(m.__name__.rpartition(".")[2], name): len(v)
+            for m in modules for name, v in vars(m).items()
+            if isinstance(v, kinds)}
+
+before = sizes()
+from hfinterp.arith import LITERAL, add_a, exp_a
+from hfinterp.core import decode
+from hfinterp.errors import LanguageMismatch
+from hfinterp.evaluate import EvalContext, eval_arith, eval_set
+from hfinterp.formulas import free_vars
+from hfinterp.interp import MAPS
+from hfinterp.parser import parse_arith, parse_set
+from hfinterp.verify import load_annotated_corpus
+
+contexts = [EvalContext(nat_cutoff=8, set_cutoff=8, enum_budget=1 << 12,
+                        mode=mode, solver=solver)
+            for mode in ("fast", "literal") for solver in (True, False)]
+for corpus in ("arith.txt", "set.txt", "opei.txt", "separation.txt"):
+    lang = "arith" if corpus == "arith.txt" else "set"
+    for _, text in load_annotated_corpus(corpus):
+        f = (parse_arith if lang == "arith" else parse_set)(text)
+        todo = [(lang, f)]
+        for m in MAPS.values():
+            if m.source == lang:
+                try:
+                    todo.append((m.target, m(f)))
+                except LanguageMismatch:
+                    pass
+        for lang_g, g in todo:
+            evaluate = eval_arith if lang_g == "arith" else eval_set
+            for c in (0, 5):
+                env = {n: c if lang_g == "arith" else decode(c)
+                       for n in free_vars(g)}
+                for ctx in contexts:
+                    try:
+                        evaluate(g, env, ctx)
+                    except Exception:
+                        pass
+for i in range(0, 65, 4):
+    for j in range(0, 65, 8):
+        add_a(decode(i), decode(j), LITERAL)
+exp_a(decode(5), decode(7), LITERAL)
+after = sizes()
+print(json.dumps(sorted(k for k in after if after[k] != before.get(k))))
+"""
+
+
+def test_only_the_listed_module_level_containers_grow():
+    # a fresh interpreter, so no earlier test has filled a container yet
+    p = subprocess.run([sys.executable, "-c", _INVENTORY],
+                       capture_output=True, text=True, timeout=300,
+                       env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert p.returncode == 0, p.stderr
+    grown = {tuple(k) for k in json.loads(p.stdout.splitlines()[-1])}
+    assert grown == GROWING, (
+        f"unlisted: {sorted(grown - GROWING)}, "
+        f"listed but unchanged: {sorted(GROWING - grown)}")

@@ -263,6 +263,14 @@ def test_run_suite_dispatch():
     assert [r.suite for r in reports] == ["cardinal"]
 
 
+def test_run_suite_all_refuses_a_corpus(monkeypatch):
+    # 'all' runs each suite on its packaged corpus; a corpus argument must
+    # not be dropped silently, and nothing runs before the refusal
+    monkeypatch.setattr(verify, "check_axioms", None)
+    with pytest.raises(ValueError, match="packaged corpora"):
+        run_suite("all", SMALL, corpus="opei.txt")
+
+
 def test_run_suite_all_runs_each_suite_in_order(monkeypatch):
     calls = []
 
