@@ -5,18 +5,27 @@ axioms, induction along adjunction, membership-as-bit agreement, round
 trips between the two languages, and the cardinal reading of arithmetic —
 and returns a :class:`Report` whose failing cases carry enough data to be
 re-checked independently (see :func:`replay`).
+
+A suite is a sequence of cases.  A case checks one claim, named by its
+kind, at each of its points and stops at the first failing one.
+`_KINDS` maps each kind to one checker, ``make(ctx, **params)``: a
+function of a point's coordinates that returns None where the claim holds
+and otherwise a dict of what it observed.  A counterexample is
+``{"kind", **params, **point, **observed, "context"}``, and `replay` makes
+the same check from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
+from itertools import combinations, islice, product, repeat, starmap
 from pathlib import Path
 
-from . import cardinal
+from . import cardinal, interp
 from .core import (
+    FAST,
     LITERAL,
     HFSet,
     adjoin,
@@ -47,13 +56,6 @@ from .formulas import (
     children,
     free_vars,
     rebuild,
-)
-from .interp import (
-    bit_formula_parts,
-    get_map,
-    translate_a,
-    translate_c,
-    translate_d,
 )
 from .parser import parse_arith, parse_set
 
@@ -105,11 +107,7 @@ class Report:
     @property
     def exit_status(self) -> int:
         t = self.totals
-        if t[FAIL]:
-            return 1
-        if t[BUDGET]:
-            return 2
-        return 0
+        return 1 if t[FAIL] else 2 if t[BUDGET] else 0
 
     @property
     def passed(self) -> bool:
@@ -129,17 +127,8 @@ class Report:
 
 
 def _echo(ctx: EvalContext, **params) -> dict:
-    out = {
-        "nat_cutoff": ctx.nat_cutoff,
-        "set_cutoff": ctx.set_cutoff,
-        "code_budget": ctx.code_budget,
-        "enum_budget": ctx.enum_budget,
-        "literal_cutoff": ctx.literal_cutoff,
-        "mode": ctx.mode,
-        "solver": ctx.solver,
-    }
-    out.update(params)
-    return out
+    """The context's fields, which rebuild it, followed by `params`."""
+    return {**asdict(ctx), **params}
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +156,7 @@ def load_corpus(source) -> "list[str]":
             raise CorpusUnreadable(
                 f"{source}: {e.strerror or e}") from e
         raw = text.splitlines()
-    out = []
-    for line in raw:
-        s = line.strip()
-        if s and not s.startswith("#"):
-            out.append(s)
-    return out
+    return [s for s in map(str.strip, raw) if s and not s.startswith("#")]
 
 
 def load_annotated_corpus(source) -> "list[tuple[str | None, str]]":
@@ -182,17 +166,156 @@ def load_annotated_corpus(source) -> "list[tuple[str | None, str]]":
     """
     out = []
     for line in load_corpus(source):
-        if "::" in line:
-            tag, src = line.split("::", 1)
-            out.append((tag.strip(), src.strip()))
-        else:
-            out.append((None, line))
+        tag, sep, src = line.partition("::")
+        out.append((tag.strip(), src.strip()) if sep else (None, line))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the case driver
+# ---------------------------------------------------------------------------
+
+class _Decoded:
+    """``sets[c]`` is ``decode(c)``, for checkers given no decoded sets."""
+
+    def __getitem__(self, code: int) -> HFSet:
+        return decode(code)
+
+
+_DECODED = _Decoded()
+
+
+def _case(report: Report, ctx: EvalContext, case_id: str, kind: str,
+          points, note="", local: "dict | None" = None, **params) -> None:
+    """Check `kind` under `params` at each point of ``points()`` (a fresh
+    iterable of coordinate tuples per call) and append the verdict; a
+    point that raises `BudgetExceeded` ends the case as ``<kind>-budget``.
+    `note` is a string or a function of the number of points checked;
+    `local` holds unrecorded checker arguments (decoded `sets`, or a list
+    `notes` to which the checker appends what it saw)."""
+    check = _KINDS[kind][0](ctx, **params, **(local or {}))
+    verdict, count = PASS, 0
+    try:
+        # starmap calls the check with the point's coordinates from C,
+        # as fast as the suites' hand-written loops over the same points
+        for count, observed in enumerate(starmap(check, points()), 1):
+            if observed is not None:
+                verdict = FAIL
+                break
+    except BudgetExceeded as e:
+        verdict, count = BUDGET, count + 1
+        observed = {"kind": f"{kind}-budget", "error": str(e)}
+    cex = None
+    if verdict != PASS:
+        # the loop keeps no point, so the failing one is found again
+        point = next(islice(points(), count - 1, None))
+        cex = {"kind": kind, **params, **dict(zip(_KINDS[kind][2], point)),
+               **observed, "context": _echo(ctx)}
+    report.cases.append(CaseResult(
+        case_id, verdict, cex, note(count) if callable(note) else note))
+
+
+def _law(holds):
+    """The checker of a claim ``holds(ctx, *sets)`` at a point's codes."""
+    def make(ctx: EvalContext, sets=_DECODED):
+        def point(*codes):
+            if not holds(ctx, *[sets[c] for c in codes]):
+                return {}
+        return point
+    return make
+
+
+def _assignments(names, values):
+    """A point (assignment dict,) per assignment of `values` to `names`."""
+    return zip(map(dict, map(zip, repeat(names),
+                             product(values, repeat=len(names)))))
 
 
 # ---------------------------------------------------------------------------
 # axiom suite
 # ---------------------------------------------------------------------------
+
+def _extensionality(ctx, x: HFSet, y: HFSet) -> bool:
+    # only members of either side can distinguish the two, so scanning
+    # the union of the member lists decides the full quantifier
+    return x == y or not (all(mem(u, y) for u in x.children)
+                          and all(mem(u, x) for u in y.children))
+
+
+def _pairing(ctx, x: HFSet, y: HFSet) -> bool:
+    w = pair(x, y)
+    return mem(x, w) and mem(y, w) \
+        and all(c == x or c == y for c in w.children)
+
+
+def _union(ctx, x: HFSet) -> bool:
+    w = sumset(x)
+    return all(any(mem(c, d) for d in x.children) for c in w.children) \
+        and all(mem(c, w) for d in x.children for c in d.children)
+
+
+def _power(ctx, x: HFSet) -> bool:
+    # members are pairwise distinct by canonical representation, so the
+    # count certifies completeness
+    w = powerset(x, ctx.enum_budget)
+    return all(all(mem(c, x) for c in s.children) for s in w.children) \
+        and len(w.children) == 2 ** len(x.children) \
+        and mem(x, w) and mem(empty(), w)
+
+
+def _foundation(ctx, x: HFSet) -> bool:
+    return not x.children or any(all(not mem(z, x) for z in m.children)
+                                 for m in x.children)
+
+
+def _separation(ctx: EvalContext, formula: str, sets=_DECODED):
+    """The subset of the host that the formula carves out holds exactly
+    the host's members satisfying it."""
+    f = parse_set(formula)
+
+    def point(cy: int, cp: int):
+        y, p = sets[cy], sets[cp]
+
+        def pred(c: HFSet) -> bool:
+            return eval_set(f, {"v": c, "p": p}, ctx)
+
+        w = separate(y, pred)
+        for c in y.children:
+            if mem(c, w) != pred(c):
+                return {"member_code": encode(c)}
+        if not all(mem(c, y) for c in w.children):
+            return {"kind": "separation-subset"}
+    return point
+
+
+def _finiteness(ctx: EvalContext, sets=_DECODED):
+    """A one-one map of a host's members to members of the host is onto."""
+    def point(host_code: int, images: "list[int]"):
+        image = {sets[c] for c in images}
+        if len(image) == len(images) \
+                and image != set(sets[host_code].children):
+            return {}
+    return point
+
+
+def _least_level(ctx: EvalContext, sets=_DECODED):
+    """R(x) is a level, contains x, and no earlier level does."""
+    # only a handful of levels occur, so the (expensive) shape check
+    # runs once per level
+    level_shape: "dict[int, bool]" = {}
+
+    def point(cx: int):
+        x = sets[cx]
+        r = x.rank
+        lvl = materialize_level(r + 1, ctx.enum_budget)
+        if r + 1 not in level_shape:
+            level_shape[r + 1] = is_level(lvl)
+        if not (mem(x, lvl) and level_shape[r + 1]
+                and all(not mem(x, materialize_level(m, ctx.enum_budget))
+                        for m in range(r + 1))):
+            return {}
+    return point
+
 
 def check_axioms(ctx: "EvalContext | None" = None,
                  separation_corpus=DEFAULT_SEPARATION_CORPUS) -> Report:
@@ -201,176 +324,62 @@ def check_axioms(ctx: "EvalContext | None" = None,
     checked over codes below the set cutoff."""
     ctx = ctx or EvalContext()
     n = ctx.set_cutoff
-    universe = [decode(c) for c in range(n)]
+    local = {"sets": [decode(c) for c in range(n)]}
     report = Report("axioms", _echo(ctx, separation_corpus=str(separation_corpus)))
-    cases = report.cases
 
-    # Extensionality: sets with the same members are the same set.  Only
-    # members of either side can distinguish the two, so scanning the
-    # union of the member lists decides the full quantifier.
-    bad = None
-    for cx, x in enumerate(universe):
-        for cy in range(cx + 1, n):
-            y = universe[cy]
-            if all(mem(u, y) for u in x.children) \
-                    and all(mem(u, x) for u in y.children):
-                bad = {"kind": "extensionality", "x_code": cx, "y_code": cy}
-                break
-        if bad:
-            break
-    cases.append(CaseResult(
-        "extensionality", FAIL if bad else PASS, bad,
-        note=f"all {n}*{n} pairs"))
+    def case(kind, points, note):
+        _case(report, ctx, kind, kind, points, note, local)
 
-    # Pairing: pair(x, y) holds exactly x and y.
-    bad = None
-    for cx, x in enumerate(universe):
-        for cy in range(cx, n):
-            y = universe[cy]
-            w = pair(x, y)
-            if not (mem(x, w) and mem(y, w)
-                    and all(c == x or c == y for c in w.children)):
-                bad = {"kind": "pairing", "x_code": cx, "y_code": cy}
-                break
-        if bad:
-            break
-    cases.append(CaseResult(
-        "pairing", FAIL if bad else PASS, bad, note=f"all {n}*{n} pairs"))
+    case("extensionality", lambda: combinations(range(n), 2),
+         f"all {n}*{n} pairs")
+    case("pairing", lambda: ((x, y) for x in range(n) for y in range(x, n)),
+         f"all {n}*{n} pairs")
+    case("union", lambda: zip(range(n)), f"all {n} sets")
+    case("power", lambda: zip(range(n)), f"all {n} sets")
 
-    # Union: sumset(x) holds exactly the members of members of x.
-    bad = None
-    for cx, x in enumerate(universe):
-        w = sumset(x)
-        ok = all(any(mem(c, d) for d in x.children) for c in w.children) \
-            and all(mem(c, w) for d in x.children for c in d.children)
-        if not ok:
-            bad = {"kind": "union", "x_code": cx}
-            break
-    cases.append(CaseResult(
-        "union", FAIL if bad else PASS, bad, note=f"all {n} sets"))
-
-    # Power set: every member of powerset(x) is a subset, and there are
-    # exactly 2^|x| of them (members are pairwise distinct by canonical
-    # representation, so the count certifies completeness).
-    bad = None
-    for cx, x in enumerate(universe):
-        try:
-            w = powerset(x, ctx.enum_budget)
-        except BudgetExceeded:
-            bad = {"kind": "power-budget", "x_code": cx}
-            break
-        ok = all(all(mem(c, x) for c in s.children) for s in w.children) \
-            and len(w.children) == 2 ** len(x.children) \
-            and mem(x, w) and mem(empty(), w)
-        if not ok:
-            bad = {"kind": "power", "x_code": cx}
-            break
-    cases.append(CaseResult(
-        "power", FAIL if bad else PASS, bad, note=f"all {n} sets"))
-
-    # Separation instances: for each predicate in the corpus, the filtered
-    # subset is a witness — it contains exactly the members of the host
-    # satisfying the predicate.
-    hosts = list(range(0, n, 7))
+    hosts = range(0, n, 7)       # separation at sampled hosts and params
     params = [c for c in (0, 1, 3, 5, 11, 37, 100, 255) if c < n]
     for i, src in enumerate(load_corpus(separation_corpus)):
-        f = parse_set(src)
-        bad = None
-        verdict = PASS
-        try:
-            for cy in hosts:
-                y = universe[cy]
-                for cp in params:
-                    p = universe[cp]
+        _case(report, ctx, f"separation[{i}]", "separation",
+              lambda: product(hosts, params), src, local, formula=src)
 
-                    def pred(c: HFSet) -> bool:
-                        return eval_set(f, {"v": c, "p": p}, ctx)
+    case("foundation", lambda: zip(range(n)), f"all nonempty sets below {n}")
 
-                    w = separate(y, pred)
-                    for c in y.children:
-                        if mem(c, w) != pred(c):
-                            bad = {"kind": "separation", "formula": src,
-                                   "host_code": cy, "param_code": cp,
-                                   "member_code": encode(c)}
-                            break
-                    if bad is None and not all(mem(c, y) for c in w.children):
-                        bad = {"kind": "separation-subset", "formula": src,
-                               "host_code": cy, "param_code": cp}
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                verdict = FAIL
-        except BudgetExceeded as e:
-            verdict = BUDGET
-            bad = {"kind": "separation-budget", "formula": src,
-                   "error": str(e)}
-        cases.append(CaseResult(
-            f"separation[{i}]", verdict, bad,
-            note=src if verdict == PASS else ""))
-
-    # Foundation: every nonempty set has a member sharing no member with it.
-    bad = None
-    for cx, x in enumerate(universe):
-        if not x.children:
-            continue
-        if not any(all(not mem(z, x) for z in m.children)
-                   for m in x.children):
-            bad = {"kind": "foundation", "x_code": cx}
-            break
-    cases.append(CaseResult(
-        "foundation", FAIL if bad else PASS, bad,
-        note=f"all nonempty sets below {n}"))
-
-    # Finiteness: on hosts of size <= 4, every one-one self-map is onto
-    # (checked against every self-map, injective or not).
+    # Finiteness on hosts of size <= 4, against every self-map of the
+    # host's members, injective or not.
+    small = [decode(c) for c in range(64)]
     for size in range(5):
-        hosts_k = [x for x in (decode(c) for c in range(64))
-                   if len(x.children) == size]
-        bad = None
-        checked = 0
-        for x in hosts_k:
-            cs = x.children
-            for images in itertools.product(cs, repeat=size):
-                checked += 1
-                one_one = len(set(images)) == size
-                onto = set(images) == set(cs)
-                if one_one and not onto:
-                    bad = {"kind": "finiteness", "host_code": encode(x),
-                           "images": [encode(i) for i in images]}
-                    break
-            if bad:
-                break
-        cases.append(CaseResult(
-            f"finiteness[size={size}]", FAIL if bad else PASS, bad,
-            note=f"{len(hosts_k)} hosts, {checked} self-maps"))
+        hosts_k = [c for c, x in enumerate(small) if len(x.children) == size]
+        _case(report, ctx, f"finiteness[size={size}]", "finiteness",
+              lambda: ((c, list(f)) for c in hosts_k for f in product(
+                  map(encode, small[c].children), repeat=size)),
+              lambda k: f"{len(hosts_k)} hosts, {k} self-maps")
 
-    # Least level: R(x) is a level, contains x, and no earlier level does.
-    # Only a handful of distinct levels occur below the cutoff, so the
-    # (expensive) level-shape check runs once per level.
-    bad = None
-    level_shape: "dict[int, bool]" = {}
-    for cx, x in enumerate(universe):
-        r = x.rank
-        lvl = materialize_level(r + 1, ctx.enum_budget)
-        if r + 1 not in level_shape:
-            level_shape[r + 1] = is_level(lvl)
-        ok = mem(x, lvl) and level_shape[r + 1] \
-            and all(not mem(x, materialize_level(m, ctx.enum_budget))
-                    for m in range(r + 1))
-        if not ok:
-            bad = {"kind": "least-level", "x_code": cx}
-            break
-    cases.append(CaseResult(
-        "least-level", FAIL if bad else PASS, bad, note=f"all {n} sets"))
-
+    case("least-level", lambda: zip(range(n)), f"all {n} sets")
     return report
 
 
 # ---------------------------------------------------------------------------
 # induction along adjunction
 # ---------------------------------------------------------------------------
+
+def _opei(ctx: EvalContext, formula: str, expected: "str | None" = None,
+          step_cutoff: int = 64, notes: "list | None" = None):
+    """The observed branch of induction along adjunction is the annotated
+    one, and never the conclusion (base and step pass, yet a set below
+    the cutoff lacks the property: the principle itself would fail)."""
+    f = parse_set(formula)
+
+    def point():
+        observed, witness = _opei_branch(
+            lambda z: eval_set(f, {"x": z}, ctx), ctx, step_cutoff)
+        if notes is not None:
+            at = "" if witness is None else f" at {witness}"
+            notes.append(f"{observed}{at}: {formula}")
+        if observed == "conclusion" or expected not in (None, observed):
+            return {"observed": observed, "witness": witness}
+    return point
+
 
 def check_opei(pred_corpus=DEFAULT_OPEI_CORPUS,
                ctx: "EvalContext | None" = None,
@@ -385,37 +394,10 @@ def check_opei(pred_corpus=DEFAULT_OPEI_CORPUS,
     ctx = ctx or EvalContext()
     report = Report("opei", _echo(ctx, step_cutoff=step_cutoff))
     for i, (expected, src) in enumerate(load_annotated_corpus(pred_corpus)):
-        f = parse_set(src)
-
-        def phi(z: HFSet) -> bool:
-            return eval_set(f, {"x": z}, ctx)
-
-        verdict = PASS
-        counterexample = None
-        try:
-            observed, witness = _opei_branch(phi, ctx, step_cutoff)
-        except BudgetExceeded as e:
-            report.cases.append(CaseResult(
-                f"predicate[{i}]", BUDGET,
-                {"kind": "opei-budget", "formula": src, "error": str(e)}))
-            continue
-        if observed == "conclusion":
-            # base and step passed yet a set below the cutoff lacks the
-            # property: the induction principle itself would be violated.
-            verdict = FAIL
-            counterexample = {"kind": "opei", "formula": src,
-                              "expected": expected, "observed": observed,
-                              "witness": witness}
-        elif expected is not None and observed != expected:
-            verdict = FAIL
-            counterexample = {"kind": "opei", "formula": src,
-                              "expected": expected, "observed": observed,
-                              "witness": witness}
-        note = observed if witness is None \
-            else f"{observed} at {witness}"
-        report.cases.append(CaseResult(
-            f"predicate[{i}]", verdict, counterexample,
-            note=f"{note}: {src}"))
+        notes: list = []
+        _case(report, ctx, f"predicate[{i}]", "opei", lambda: [()],
+              lambda n: "".join(notes), local={"notes": notes},
+              formula=src, expected=expected, step_cutoff=step_cutoff)
     return report
 
 
@@ -423,9 +405,7 @@ def _opei_branch(phi, ctx: EvalContext,
                  step_cutoff: int) -> "tuple[str, dict | None]":
     if not phi(empty()):
         return "base", None
-    holds = {}
-    for c in range(step_cutoff):
-        holds[c] = phi(decode(c))
+    holds = {c: phi(decode(c)) for c in range(step_cutoff)}
     seen: "dict[int, bool]" = {}
     for cx in range(step_cutoff):
         if not holds[cx]:
@@ -452,14 +432,12 @@ def _opei_branch(phi, ctx: EvalContext,
 def membership_bit_formula(mutation: "str | None" = None) -> ArithFormula:
     """The arithmetic formula asserting that bit x of y is set, optionally
     corrupted for harness self-tests."""
-    bit = translate_a(parse_set("x in y"))
+    bit = interp.translate_a(parse_set("x in y"))
     if mutation is None:
         return bit
     if mutation == "successor":
-        mutated = _swap_subterm(
-            bit,
-            AOp("+", (AVar("x"), ALit(1))),
-            AVar("x"))
+        mutated = _swap_subterm(bit, AOp("+", (AVar("x"), ALit(1))),
+                                AVar("x"))
     elif mutation == "bit-formula":
         coef_n = AOp("*", (AOp("exp", (ALit(2), AOp("+", (AVar("x"), ALit(1))))),
                            AVar("n")))
@@ -475,29 +453,41 @@ def membership_bit_formula(mutation: "str | None" = None) -> ArithFormula:
 def _swap_subterm(node, old, new):
     if node == old:
         return new
-    kids = []
-    for kid in children(node):
-        kids.append(_swap_subterm(kid, old, new))
-    return rebuild(node, kids)
+    return rebuild(node, [_swap_subterm(k, old, new) for k in children(node)])
 
 
-def _bit_closed_form(bit: ArithFormula):
-    """A per-pair decision procedure read off the formula's shape, or None
-    when the shape is not the canonical one (e.g. after a mutation).
+def _theorem6(ctx: EvalContext, leg: "str | None" = None, mode: str = FAST,
+              solver: bool = True, mutation: "str | None" = None,
+              sets=_DECODED, notes: "list | None" = None):
+    """Membership x in y agrees with the set reading of the (possibly
+    mutated) bit formula under the leg's mode and solver; fast-exhaustive
+    reconstructs the witnesses while the formula keeps its shape."""
+    bit = membership_bit_formula(mutation)
+    closed = leg == "fast-exhaustive" \
+        and interp.bit_formula_parts(bit) == (AVar("x"), AVar("y"))
+    if notes is not None:
+        notes.append(", reconstructed witnesses" if closed
+                     else ", full evaluator")
+    if closed:
+        # y = 2^(x+1)*n + 2^x + m with m < 2^x pins n and m to the
+        # quotient and remainder of y by the powers around bit x
+        def point(cx: int, cy: int):
+            low = 1 << cx
+            n = cy >> (cx + 1)
+            got = n < cy and cy == (n << (cx + 1)) + low + (cy & (low - 1))
+            if got != mem(sets[cx], sets[cy]):
+                return {"mem": not got, "translated": got}   # two bools
+        return point
+    set_bit = interp.translate_d(bit)
+    eval_ctx = replace(ctx, mode=mode, solver=solver)
 
-    The equation y = 2^(x+1)*n + 2^x + m with m < 2^x pins n and m to the
-    quotient and remainder of y by the powers around bit x, so the two
-    existentials can be reconstructed instead of searched.
-    """
-    if bit_formula_parts(bit) != (AVar("x"), AVar("y")):
-        return None
-
-    def closed(cx: int, cy: int) -> bool:
-        n = cy >> (cx + 1)
-        m = cy & ((1 << cx) - 1)
-        return n < cy and cy == (n << (cx + 1)) + (1 << cx) + m
-
-    return closed
+    def point(cx: int, cy: int):
+        x, y = sets[cx], sets[cy]
+        oracle = mem(x, y)
+        got = eval_set(set_bit, {"x": x, "y": y}, eval_ctx)
+        if got != oracle:
+            return {"mem": oracle, "translated": got}
+    return point
 
 
 def check_theorem6(ctx: "EvalContext | None" = None, *,
@@ -523,67 +513,29 @@ def check_theorem6(ctx: "EvalContext | None" = None, *,
         literal_honest_max_code=literal_honest_max_code, seed=seed,
         mutation=mutation))
 
-    bit = membership_bit_formula(mutation)
-    set_bit = translate_d(bit)
     top = max(max_code, literal_max_code, honest_max_code,
               literal_honest_max_code)
     sets = [decode(c) for c in range(top)]
-
-    def leg(name: str, pairs, eval_ctx: EvalContext, use_closed: bool):
-        closed = _bit_closed_form(bit) if use_closed else None
-        bad = None
-        verdict = PASS
-        count = 0
-        try:
-            for cx, cy in pairs:
-                count += 1
-                oracle = mem(sets[cx], sets[cy])
-                if closed is not None:
-                    got = closed(cx, cy)
-                else:
-                    got = eval_set(set_bit,
-                                   {"x": sets[cx], "y": sets[cy]}, eval_ctx)
-                if got != oracle:
-                    verdict = FAIL
-                    bad = {"kind": "theorem6", "leg": name,
-                           "x_code": cx, "y_code": cy,
-                           "mem": oracle, "translated": got,
-                           "mode": eval_ctx.mode, "solver": eval_ctx.solver,
-                           "mutation": mutation}
-                    break
-        except BudgetExceeded as e:
-            verdict = BUDGET
-            bad = {"kind": "theorem6-budget", "leg": name, "x_code": cx,
-                   "y_code": cy, "error": str(e), "mutation": mutation}
-        report.cases.append(CaseResult(
-            name, verdict, bad,
-            note=f"{count} pairs"
-                 + (", reconstructed witnesses" if closed else
-                    ", full evaluator")))
-
-    grid = itertools.product(range(max_code), repeat=2)
-    leg("fast-exhaustive", grid, ctx, use_closed=True)
-
     rng = random.Random(seed)
     sample = [(rng.randrange(max_code), rng.randrange(max_code))
               for _ in range(sample_size)]
-    leg("fast-sampled", sample, ctx, use_closed=False)
 
-    lit_ctx = ctx.with_mode(LITERAL)
-    leg("literal-exhaustive",
-        itertools.product(range(literal_max_code), repeat=2),
-        lit_ctx, use_closed=False)
+    def grid(k: int):
+        return lambda: product(range(k), repeat=2)
 
-    walk_ctx = replace(ctx, solver=False)
-    leg("fast-honest-walk",
-        itertools.product(range(honest_max_code), repeat=2),
-        walk_ctx, use_closed=False)
-
-    lit_walk_ctx = replace(lit_ctx, solver=False)
-    leg("literal-honest-walk",
-        itertools.product(range(literal_honest_max_code), repeat=2),
-        lit_walk_ctx, use_closed=False)
-
+    for leg, points, mode, solver in (
+            ("fast-exhaustive", grid(max_code), ctx.mode, ctx.solver),
+            ("fast-sampled", lambda: sample, ctx.mode, ctx.solver),
+            ("literal-exhaustive", grid(literal_max_code), LITERAL,
+             ctx.solver),
+            ("fast-honest-walk", grid(honest_max_code), ctx.mode, False),
+            ("literal-honest-walk", grid(literal_honest_max_code), LITERAL,
+             False)):
+        notes: list = []
+        _case(report, ctx, leg, "theorem6", points,
+              lambda n: f"{n} pairs" + "".join(notes),
+              local={"sets": sets, "notes": notes},
+              leg=leg, mode=mode, solver=solver, mutation=mutation)
     return report
 
 
@@ -597,7 +549,7 @@ def translatable_lines(corpus, maps: str) -> "list[str]":
     The ordinal reading covers only the core arithmetic operations, so
     running it over a corpus with code operations needs this filter.
     """
-    m = get_map(maps)
+    m = interp.get_map(maps)
     keep = []
     for src in load_corpus(corpus):
         f = parse_arith(src) if m.source == "arith" else parse_set(src)
@@ -607,6 +559,28 @@ def translatable_lines(corpus, maps: str) -> "list[str]":
             continue
         keep.append(src)
     return keep
+
+
+def _roundtrip(ctx: EvalContext, maps: str, formula: str):
+    """The formula and its image under `maps` agree at an assignment; an
+    image refusing a value as no ordinal fails as ``roundtrip-raise``."""
+    m = interp.get_map(maps)
+    arith_side = m.source == "arith"
+    f = parse_arith(formula) if arith_side else parse_set(formula)
+    g = m(f)
+    evalf = eval_arith if arith_side else eval_set
+
+    def point(assignment: dict):
+        env = assignment if arith_side \
+            else {v: decode(c) for v, c in assignment.items()}
+        try:
+            lhs = evalf(f, env, ctx)
+            rhs = evalf(g, env, ctx)
+        except NotAnOrdinal as e:
+            return {"kind": "roundtrip-raise", "error": str(e)}
+        if lhs != rhs:
+            return {"source_value": lhs, "round_trip_value": rhs}
+    return point
 
 
 def check_roundtrip(corpus=None, maps: str = "ad",
@@ -619,7 +593,7 @@ def check_roundtrip(corpus=None, maps: str = "ad",
     to its source language.  Assignments are exhaustive below the cutoff.
     """
     ctx = ctx or EvalContext()
-    m = get_map(maps)
+    m = interp.get_map(maps)
     if m.source != m.target:
         raise LanguageMismatch(
             f"{maps!r} maps {m.source} to {m.target}; a round trip must "
@@ -627,46 +601,15 @@ def check_roundtrip(corpus=None, maps: str = "ad",
     if corpus is None:
         corpus = DEFAULT_ARITH_CORPUS if m.source == "arith" \
             else DEFAULT_SET_CORPUS
-    arith_side = m.source == "arith"
-    evalf = eval_arith if arith_side else eval_set
+    parse = parse_arith if m.source == "arith" else parse_set
     report = Report(f"roundtrip-{maps}", _echo(
         ctx, maps=maps, corpus=str(corpus), value_cutoff=value_cutoff))
 
     for i, src in enumerate(load_corpus(corpus)):
-        f = parse_arith(src) if arith_side else parse_set(src)
-        g = m(f)
-        fv = sorted(free_vars(f))
-        verdict = PASS
-        bad = None
-        count = 0
-        try:
-            for codes in itertools.product(range(value_cutoff),
-                                           repeat=len(fv)):
-                count += 1
-                if arith_side:
-                    env = dict(zip(fv, codes))
-                else:
-                    env = {v: decode(c) for v, c in zip(fv, codes)}
-                lhs = evalf(f, env, ctx)
-                rhs = evalf(g, env, ctx)
-                if lhs != rhs:
-                    verdict = FAIL
-                    bad = {"kind": "roundtrip", "maps": maps,
-                           "formula": src,
-                           "assignment": dict(zip(fv, codes)),
-                           "source_value": lhs, "round_trip_value": rhs}
-                    break
-        except BudgetExceeded as e:
-            verdict = BUDGET
-            bad = {"kind": "roundtrip-budget", "maps": maps, "formula": src,
-                   "assignment": dict(zip(fv, codes)), "error": str(e)}
-        except NotAnOrdinal as e:
-            verdict = FAIL
-            bad = {"kind": "roundtrip-raise", "maps": maps, "formula": src,
-                   "assignment": dict(zip(fv, codes)), "error": str(e)}
-        report.cases.append(CaseResult(
-            f"formula[{i}]", verdict, bad,
-            note=f"{count} assignments: {src}"))
+        fv = sorted(free_vars(parse(src)))
+        _case(report, ctx, f"formula[{i}]", "roundtrip",
+              lambda: _assignments(fv, range(value_cutoff)),
+              lambda n: f"{n} assignments: {src}", maps=maps, formula=src)
     return report
 
 
@@ -712,92 +655,68 @@ _REPRESENTATIVE_CODES: "dict[int, tuple[int, ...]]" = {
 }
 
 
+def _injection_oracle(ctx, x: HFSet, y: HFSet) -> bool:
+    found = cardinal.injection_search(x, y)
+    if cardinal.inj_exists(x, y) != (found is not None):
+        return False
+    return found is None or (
+        len(found) == cardinal.card(x)
+        and len(set(found.values())) == len(found)
+        and all(mem(a, x) and mem(b, y) for a, b in found.items()))
+
+
+# Claims about the cardinal operations at a pair of representative sets.
+_GRID_LAWS = {
+    "size-of-sum": lambda ctx, x, y: cardinal.card(
+        cardinal.card_add(x, y, ctx.enum_budget))
+        == cardinal.card(x) + cardinal.card(y),
+    "size-of-product": lambda ctx, x, y: cardinal.card(
+        cardinal.product(x, y, ctx.enum_budget))
+        == cardinal.card(x) * cardinal.card(y),
+    "size-of-function-space": lambda ctx, x, y: cardinal.card(
+        cardinal.card_exp(x, y, ctx.enum_budget))
+        == cardinal.card(x) ** cardinal.card(y),
+    "function-count": lambda ctx, x, y: cardinal.count_functions(
+        x, y, ctx.enum_budget) == cardinal.card(x) ** cardinal.card(y),
+    "injection-oracle": _injection_oracle,
+}
+
+
+def _cardinal_law(ctx: EvalContext, formula: str, value: bool = True,
+                  sets=_DECODED):
+    """The cardinal translation of `formula` takes `value` there."""
+    g = interp.translate_c(parse_arith(formula))
+
+    def point(assignment: dict):
+        env = {v: sets[c] for v, c in assignment.items()}
+        if eval_set(g, env, ctx) != value:
+            return {}
+    return point
+
+
 def check_cardinal_model(ctx: "EvalContext | None" = None) -> Report:
     """Sizes of the cardinal operations match arithmetic, the injection
     fast path matches brute-force search, and translated laws hold."""
     ctx = ctx or EvalContext()
     report = Report("cardinal", _echo(ctx))
-    reps = {size: [decode(c) for c in codes]
-            for size, codes in _REPRESENTATIVE_CODES.items()}
-    all_reps = [x for xs in reps.values() for x in xs]
-
-    def grid_case(name: str, fn) -> None:
-        bad = None
-        count = 0
-        for x in all_reps:
-            for y in all_reps:
-                count += 1
-                if not fn(x, y):
-                    bad = {"kind": name, "x_code": encode(x),
-                           "y_code": encode(y)}
-                    break
-            if bad:
-                break
-        report.cases.append(CaseResult(
-            name, FAIL if bad else PASS, bad, note=f"{count} pairs"))
-
-    grid_case("size-of-sum", lambda x, y: cardinal.card(
-        cardinal.card_add(x, y, ctx.enum_budget))
-        == cardinal.card(x) + cardinal.card(y))
-    grid_case("size-of-product", lambda x, y: cardinal.card(
-        cardinal.product(x, y, ctx.enum_budget))
-        == cardinal.card(x) * cardinal.card(y))
-    grid_case("size-of-function-space", lambda x, y: cardinal.card(
-        cardinal.card_exp(x, y, ctx.enum_budget))
-        == cardinal.card(x) ** cardinal.card(y))
-    grid_case("function-count", lambda x, y: cardinal.count_functions(
-        x, y, ctx.enum_budget)
-        == cardinal.card(x) ** cardinal.card(y))
-
-    def inj_agree(x: HFSet, y: HFSet) -> bool:
-        found = cardinal.injection_search(x, y)
-        if cardinal.inj_exists(x, y) != (found is not None):
-            return False
-        if found is not None:
-            if len(found) != cardinal.card(x):
-                return False
-            if len(set(found.values())) != len(found):
-                return False
-            if not all(mem(a, x) and mem(b, y) for a, b in found.items()):
-                return False
-        return True
-
-    grid_case("injection-oracle", inj_agree)
+    codes = [c for cs in _REPRESENTATIVE_CODES.values() for c in cs]
+    local = {"sets": {c: decode(c) for c in codes}}
+    for kind in _GRID_LAWS:
+        _case(report, ctx, kind, kind, lambda: product(codes, repeat=2),
+              lambda n: f"{n} pairs", local)
 
     for i, (law, size_cap) in enumerate(CARDINAL_LAWS):
-        f = parse_arith(law)
-        g = translate_c(f)
-        pool = [x for size, xs in reps.items() if size <= size_cap
-                for x in xs]
-        fv = sorted(free_vars(f))
-        bad = None
-        verdict = PASS
-        count = 0
-        try:
-            for vals in itertools.product(pool, repeat=len(fv)):
-                count += 1
-                env = dict(zip(fv, vals))
-                if not eval_set(g, env, ctx):
-                    verdict = FAIL
-                    bad = {"kind": "cardinal-law", "formula": law,
-                           "assignment": {v: encode(s)
-                                          for v, s in env.items()}}
-                    break
-        except BudgetExceeded as e:
-            verdict = BUDGET
-            bad = {"kind": "cardinal-law-budget", "formula": law,
-                   "error": str(e)}
-        report.cases.append(CaseResult(
-            f"law[{i}]", verdict, bad, note=f"{count} assignments: {law}"))
+        pool = [c for size, cs in _REPRESENTATIVE_CODES.items()
+                if size <= size_cap for c in cs]
+        fv = sorted(free_vars(parse_arith(law)))
+        _case(report, ctx, f"law[{i}]", "cardinal-law",
+              lambda: _assignments(fv, pool),
+              lambda n: f"{n} assignments: {law}", local, formula=law)
 
     # A falsehood must come out false: one extra element is never nothing.
-    wrong = translate_c(parse_arith("S(0) = 0"))
-    got = eval_set(wrong, {}, ctx)
-    report.cases.append(CaseResult(
-        "successor-not-zero", PASS if not got else FAIL,
-        None if not got else {"kind": "cardinal-law", "formula": "S(0) = 0",
-                              "assignment": {}},
-        note="translated falsehood evaluates false"))
+    _case(report, ctx, "successor-not-zero", "cardinal-falsehood",
+          lambda: [({},)], "translated falsehood evaluates false",
+          formula="S(0) = 0")
     return report
 
 
@@ -805,130 +724,103 @@ def check_cardinal_model(ctx: "EvalContext | None" = None) -> Report:
 # harness self-tests
 # ---------------------------------------------------------------------------
 
+_SELFTEST_RANGES = dict(max_code=48, literal_max_code=12, sample_size=64,
+                        honest_max_code=8, literal_honest_max_code=2, seed=7)
+
+
+def _selftest_control(ctx: EvalContext):
+    """The uncorrupted membership suite passes at the self-test ranges."""
+    def point():
+        control = check_theorem6(ctx, **_SELFTEST_RANGES)
+        if not control.passed:
+            return {"failures": [c.as_dict() for c in control.failures()]}
+    return point
+
+
+def _selftest_mutation(ctx: EvalContext, mutation: str,
+                       notes: "list | None" = None):
+    """The membership suite catches the mutation on some leg, and each of
+    its failures replays from the counterexample alone."""
+    def point():
+        failures = check_theorem6(
+            ctx, mutation=mutation, **_SELFTEST_RANGES).failures()
+        replayed = all(replay(c.counterexample) for c in failures)
+        if notes is not None:
+            notes.append(f"{len(failures)} legs failed and replayed")
+        if not (failures and replayed):
+            return {"detected": bool(failures), "replayed": replayed}
+    return point
+
+
 def check_selftest(ctx: "EvalContext | None" = None) -> Report:
     """The membership suite must catch deliberately corrupted formulas,
     and its failures must replay; the uncorrupted control must pass."""
     ctx = ctx or EvalContext()
     report = Report("selftest", _echo(ctx))
-    small = dict(max_code=48, literal_max_code=12, sample_size=64,
-                 honest_max_code=8, literal_honest_max_code=2, seed=7)
-
-    control = check_theorem6(ctx, **small)
-    report.cases.append(CaseResult(
-        "control", PASS if control.passed else FAIL,
-        None if control.passed else
-        {"kind": "selftest-control",
-         "failures": [c.as_dict() for c in control.failures()]},
-        note="uncorrupted run passes"))
-
+    _case(report, ctx, "control", "selftest-control", lambda: [()],
+          "uncorrupted run passes")
     for mutation in ("successor", "bit-formula"):
-        mutated = check_theorem6(ctx, mutation=mutation, **small)
-        failures = mutated.failures()
-        replayed = all(replay(c.counterexample, ctx) for c in failures)
-        ok = bool(failures) and replayed
-        report.cases.append(CaseResult(
-            f"mutation[{mutation}]", PASS if ok else FAIL,
-            None if ok else {"kind": "selftest-mutation",
-                             "mutation": mutation,
-                             "detected": bool(failures),
-                             "replayed": replayed},
-            note=f"{len(failures)} legs failed and replayed"))
+        notes: list = []
+        _case(report, ctx, f"mutation[{mutation}]", "selftest-mutation",
+              lambda: [()], lambda n: "".join(notes),
+              local={"notes": notes}, mutation=mutation)
     return report
 
 
 # ---------------------------------------------------------------------------
-# replay
+# the checker table, replay and the suite registry
 # ---------------------------------------------------------------------------
+
+# kind -> (make, the case params it reads, the names of a point's
+# coordinates); the checkers of separation and roundtrip report the kind
+# of a more specific failure in what they observed
+_XY = ("x_code", "y_code")
+_KINDS: "dict[str, tuple]" = {
+    "extensionality": (_law(_extensionality), (), _XY),
+    "pairing": (_law(_pairing), (), _XY),
+    "union": (_law(_union), (), ("x_code",)),
+    "power": (_law(_power), (), ("x_code",)),
+    "separation": (_separation, ("formula",), ("host_code", "param_code")),
+    "foundation": (_law(_foundation), (), ("x_code",)),
+    "finiteness": (_finiteness, (), ("host_code", "images")),
+    "least-level": (_least_level, (), ("x_code",)),
+    "opei": (_opei, ("formula", "expected", "step_cutoff"), ()),
+    "theorem6": (_theorem6, ("leg", "mode", "solver", "mutation"), _XY),
+    "roundtrip": (_roundtrip, ("maps", "formula"), ("assignment",)),
+    **{kind: (_law(holds), (), _XY) for kind, holds in _GRID_LAWS.items()},
+    "cardinal-law": (_cardinal_law, ("formula",), ("assignment",)),
+    "cardinal-falsehood": (
+        lambda ctx, formula: _cardinal_law(ctx, formula, False),
+        ("formula",), ("assignment",)),
+    "selftest-control": (_selftest_control, (), ()),
+    "selftest-mutation": (_selftest_mutation, ("mutation",), ()),
+}
+_KINDS["separation-subset"] = _KINDS["separation"]
+_KINDS["roundtrip-raise"] = _KINDS["roundtrip"]
+
 
 def replay(counterexample: "dict | None",
            ctx: "EvalContext | None" = None) -> bool:
-    """Re-check a reported counterexample from its serialized form alone;
-    True when the failure reproduces."""
+    """Re-check a reported counterexample from its serialized form alone,
+    under its recorded context, else `ctx`, else the default; True when
+    the same failure (for a ``*-budget`` kind, the same refusal) recurs."""
     if not counterexample:
         return False
-    ctx = ctx or EvalContext()
-    kind = counterexample["kind"]
+    c = counterexample
+    kind = c["kind"]
+    base = kind.removesuffix("-budget")
+    if base not in _KINDS:
+        raise ValueError(f"cannot replay counterexample of kind {kind!r}")
+    make, params, point = _KINDS[base]
+    ctx = EvalContext(**c["context"]) if "context" in c else ctx
+    check = make(ctx or EvalContext(), **{p: c[p] for p in params if p in c})
+    try:
+        observed = check(*[c[p] for p in point])
+    except BudgetExceeded as e:
+        return kind != base and c.get("error") == str(e)
+    return kind == base and observed is not None \
+        and all(c.get(k) == v for k, v in observed.items())
 
-    if kind == "theorem6":
-        c = counterexample
-        bit = membership_bit_formula(c.get("mutation"))
-        set_bit = translate_d(bit)
-        env = {"x": decode(c["x_code"]), "y": decode(c["y_code"])}
-        eval_ctx = replace(ctx, solver=c["solver"])
-        if c["mode"] != eval_ctx.mode:
-            eval_ctx = eval_ctx.with_mode(c["mode"])
-        got = eval_set(set_bit, env, eval_ctx)
-        oracle = mem(env["x"], env["y"])
-        return got != oracle
-
-    if kind == "roundtrip":
-        c = counterexample
-        m = get_map(c["maps"])
-        arith_side = m.source == "arith"
-        f = parse_arith(c["formula"]) if arith_side \
-            else parse_set(c["formula"])
-        g = m(f)
-        if arith_side:
-            env = dict(c["assignment"])
-            return eval_arith(f, env, ctx) != eval_arith(g, env, ctx)
-        env = {v: decode(code) for v, code in c["assignment"].items()}
-        return eval_set(f, env, ctx) != eval_set(g, env, ctx)
-
-    if kind == "opei":
-        c = counterexample
-        f = parse_set(c["formula"])
-        w = c.get("witness") or {}
-        if c["observed"] == "base":
-            return not eval_set(f, {"x": empty()}, ctx)
-        if c["observed"] == "step":
-            x = decode(w["x_code"])
-            z = decode(w["z_code"])
-            return eval_set(f, {"x": x}, ctx) \
-                and not eval_set(f, {"x": adjoin(x, z)}, ctx)
-        if c["observed"] == "conclusion":
-            return not eval_set(f, {"x": decode(w["code"])}, ctx)
-        return False
-
-    if kind == "cardinal-law":
-        c = counterexample
-        g = translate_c(parse_arith(c["formula"]))
-        env = {v: decode(code) for v, code in c["assignment"].items()}
-        return not eval_set(g, env, ctx)
-
-    if kind == "extensionality":
-        x = decode(counterexample["x_code"])
-        y = decode(counterexample["y_code"])
-        return x != y \
-            and all(mem(u, y) for u in x.children) \
-            and all(mem(u, x) for u in y.children)
-
-    if kind == "separation":
-        c = counterexample
-        f = parse_set(c["formula"])
-        y = decode(c["host_code"])
-        p = decode(c["param_code"])
-
-        def pred(member: HFSet) -> bool:
-            return eval_set(f, {"v": member, "p": p}, ctx)
-
-        w = separate(y, pred)
-        u = decode(c["member_code"])
-        return mem(u, w) != pred(u)
-
-    if kind == "finiteness":
-        c = counterexample
-        x = decode(c["host_code"])
-        images = [decode(code) for code in c["images"]]
-        one_one = len(set(images)) == len(images)
-        onto = set(images) == set(x.children)
-        return one_one and not onto
-
-    raise ValueError(f"cannot replay counterexample of kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# suite registry
-# ---------------------------------------------------------------------------
 
 def run_suite(name: str, ctx: "EvalContext | None" = None, *,
               max_code: int = 4096, corpus=None) -> "list[Report]":
@@ -941,24 +833,18 @@ def run_suite(name: str, ctx: "EvalContext | None" = None, *,
         raise UsageError("a corpus names one suite's corpus; "
                          "suite 'all' runs the packaged corpora")
     ctx = ctx or EvalContext()
-    if name == "axioms":
-        return [check_axioms(ctx, corpus or DEFAULT_SEPARATION_CORPUS)]
-    if name == "opei":
-        return [check_opei(corpus or DEFAULT_OPEI_CORPUS, ctx)]
-    if name == "theorem6":
-        return [check_theorem6(ctx, max_code=max_code)]
-    if name == "roundtrip-ad":
-        return [check_roundtrip(corpus, "ad", ctx)]
-    if name == "roundtrip-da":
-        return [check_roundtrip(corpus, "da", ctx)]
-    if name == "cardinal":
-        return [check_cardinal_model(ctx)]
-    if name == "selftest":
-        return [check_selftest(ctx)]
+    suites = {
+        "axioms": lambda: check_axioms(
+            ctx, corpus or DEFAULT_SEPARATION_CORPUS),
+        "opei": lambda: check_opei(corpus or DEFAULT_OPEI_CORPUS, ctx),
+        "theorem6": lambda: check_theorem6(ctx, max_code=max_code),
+        "roundtrip-ad": lambda: check_roundtrip(corpus, "ad", ctx),
+        "roundtrip-da": lambda: check_roundtrip(corpus, "da", ctx),
+        "cardinal": lambda: check_cardinal_model(ctx),
+        "selftest": lambda: check_selftest(ctx),
+    }
     if name == "all":
-        out = []
-        for sub in ("axioms", "opei", "theorem6", "roundtrip-ad",
-                    "roundtrip-da", "cardinal", "selftest"):
-            out.extend(run_suite(sub, ctx, max_code=max_code))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        return [suite() for suite in suites.values()]
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}")
+    return [suites[name]()]

@@ -303,6 +303,23 @@ def test_verify_opei_small_cutoffs_pass(capsys):
     assert rc == 0 and "0 fail" in out
 
 
+@pytest.mark.parametrize("argv,budget_cases", [
+    (["axioms", "--set-cutoff", "32", "--enum-budget", "4"],
+     ("power", "least-level")),
+    (["cardinal", "--enum-budget", "8"],
+     ("size-of-product", "size-of-function-space", "function-count")),
+])
+def test_verify_budget_prints_the_report_and_exits_two(capsys, argv,
+                                                       budget_cases):
+    # a case that runs out of budget reads as budget, and the others run
+    rc, out, err = run(capsys, "verify", *argv, "--no-timestamp")
+    assert rc == 2 and err == ""
+    assert out.startswith(f"suite: {argv[0]}\n") and "exit: 2" in out
+    assert ", 0 fail, " in out and "[pass]" in out
+    for case_id in budget_cases:
+        assert f"[budget] {case_id} — " in out
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -4,10 +4,12 @@ Suites run here at reduced ranges; the full-scale runs with the
 documented defaults live in test_acceptance.py.
 """
 
+import json
+
 import pytest
 
-from hfinterp import verify
-from hfinterp.errors import LanguageMismatch
+from hfinterp import cardinal, cli, core, verify
+from hfinterp.errors import LanguageMismatch, NotAnOrdinal
 from hfinterp.evaluate import FAST, EvalContext
 from hfinterp.formulas import free_vars
 from hfinterp.parser import parse_arith, parse_set
@@ -297,3 +299,219 @@ def test_run_suite_all_runs_each_suite_in_order(monkeypatch):
                 "roundtrip-da", "cardinal", "selftest"]
     assert calls == expected
     assert [r.suite for r in reports] == expected
+
+
+def test_cli_suite_names_are_run_suite_names(monkeypatch):
+    # cli keeps its own tuple so that `hf encode` never imports verify
+    def record(name):
+        return lambda *args, **kwargs: Report(name, {})
+
+    for check, name in (("check_axioms", "axioms"), ("check_opei", "opei"),
+                        ("check_theorem6", "theorem6"),
+                        ("check_cardinal_model", "cardinal"),
+                        ("check_selftest", "selftest")):
+        monkeypatch.setattr(verify, check, record(name))
+    monkeypatch.setattr(verify, "check_roundtrip",
+                        lambda corpus, maps, ctx: Report(f"roundtrip-{maps}",
+                                                         {}))
+    names = [r.suite for r in run_suite("all", SMALL)]
+    assert cli.SUITES == (*names, "all")
+    for name in names:
+        assert [r.suite for r in run_suite(name, SMALL)] == [name]
+
+
+# ---------------------------------------------------------------------------
+# budgets: one verdict per case, and the point where the budget ran out
+# ---------------------------------------------------------------------------
+
+def _tight(enum_budget: int) -> EvalContext:
+    return EvalContext(nat_cutoff=32, set_cutoff=32, enum_budget=enum_budget)
+
+
+def test_axioms_budget_is_a_budget_verdict_of_its_own_case():
+    rep = check_axioms(_tight(4))
+    by_id = {c.id: c for c in rep.cases}
+    for case_id in ("power", "least-level"):
+        assert by_id[case_id].verdict == BUDGET
+        assert by_id[case_id].counterexample["kind"] == f"{case_id}-budget"
+    assert by_id["power"].counterexample["x_code"] == 7    # 2^3 > 4 subsets
+    for case_id in ("extensionality", "pairing", "union", "foundation",
+                    "finiteness[size=4]"):
+        assert by_id[case_id].verdict == PASS
+    assert rep.totals[FAIL] == 0 and rep.exit_status == 2
+
+
+def test_cardinal_budget_is_a_budget_verdict_of_its_own_case():
+    rep = check_cardinal_model(_tight(8))
+    by_id = {c.id: c for c in rep.cases}
+    for case_id in ("size-of-product", "size-of-function-space",
+                    "function-count"):
+        assert by_id[case_id].verdict == BUDGET
+        assert by_id[case_id].counterexample["kind"] == f"{case_id}-budget"
+    for case_id in ("size-of-sum", "injection-oracle", "successor-not-zero"):
+        assert by_id[case_id].verdict == PASS
+    assert rep.totals[FAIL] == 0 and rep.exit_status == 2
+
+
+def test_budget_counterexamples_record_their_point_and_replay():
+    separation = [c.counterexample for c in check_axioms(_tight(4)).cases
+                  if c.id.startswith("separation[") and c.verdict == BUDGET]
+    laws = [c.counterexample for c in check_cardinal_model(_tight(8)).cases
+            if c.id.startswith("law[") and c.verdict == BUDGET]
+    assert separation and laws
+    for cex in separation:
+        assert cex["kind"] == "separation-budget"
+        assert {"formula", "host_code", "param_code", "error"} <= cex.keys()
+    for cex in laws:
+        assert cex["kind"] == "cardinal-law-budget"
+        assert {"formula", "assignment", "error"} <= cex.keys()
+    for cex in separation + laws:
+        assert replay(cex)
+        # a budget large enough for the point does not refuse it again
+        assert not replay({**cex, "context": {**cex["context"],
+                                              "enum_budget": 1 << 20}})
+
+
+# ---------------------------------------------------------------------------
+# every kind of counterexample replays from its serialized dict alone
+# ---------------------------------------------------------------------------
+
+def _theorem6_small(ctx: EvalContext = SMALL, **kwargs):
+    return check_theorem6(ctx, max_code=48, literal_max_code=8,
+                          sample_size=32, honest_max_code=4,
+                          literal_honest_max_code=2, **kwargs)
+
+
+def _not_an_ordinal(*args):
+    raise NotAnOrdinal("forced")
+
+
+_CANONICAL_BIT = membership_bit_formula
+
+# scenario -> (patches, the run, the kinds it must report): each patch
+# corrupts one primitive a checker reads; the unpatched runs fail by
+# design (mutations, the ordinal control) or run out of budget
+FORCED = {
+    "mem-always-true": (
+        [(verify, "mem", lambda x, y: True)], lambda: check_axioms(SMALL),
+        {"extensionality", "separation", "foundation", "least-level"}),
+    "pair-empty": (
+        [(verify, "pair", lambda x, y: core.empty())],
+        lambda: check_axioms(SMALL), {"pairing"}),
+    "sumset-empty": (
+        [(verify, "sumset", lambda x: core.empty())],
+        lambda: check_axioms(SMALL), {"union"}),
+    "powerset-empty": (
+        [(verify, "powerset", lambda x, budget: core.empty())],
+        lambda: check_axioms(SMALL), {"power"}),
+    "separate-adds-the-host": (
+        [(verify, "separate",
+          lambda y, pred: core.adjoin(core.separate(y, pred), y))],
+        lambda: check_axioms(SMALL), {"separation-subset"}),
+    "decode-one-is-empty": (
+        [(verify, "decode", lambda c: core.decode(0 if c == 1 else c))],
+        lambda: check_axioms(SMALL), {"finiteness"}),
+    "no-set-is-a-level": (
+        [(verify, "is_level", lambda lvl: False)],
+        lambda: check_axioms(SMALL), {"least-level"}),
+    "axioms-budget": (
+        [], lambda: check_axioms(_tight(4)),
+        {"power-budget", "separation-budget", "least-level-budget"}),
+    "opei-wrong-annotation": (
+        [], lambda: check_opei(["base :: x = x"], SMALL, step_cutoff=8),
+        {"opei"}),
+    "opei-budget": (
+        [], lambda: check_opei(["holds :: P(x) = P(x)"], _tight(4),
+                               step_cutoff=8),
+        {"opei-budget"}),
+    "theorem6-closed-form": (
+        [(verify, "mem", lambda x, y: True)], _theorem6_small, {"theorem6"}),
+    "theorem6-mutation": (
+        [], lambda: _theorem6_small(mutation="successor"), {"theorem6"}),
+    "theorem6-budget": (
+        [], lambda: _theorem6_small(
+            EvalContext(nat_cutoff=32, set_cutoff=32, code_budget=4)),
+        {"theorem6-budget"}),
+    "ordinal-control": (
+        [], lambda: check_roundtrip(translatable_lines("arith.txt", "ao"),
+                                    "ao", SMALL, value_cutoff=8),
+        {"roundtrip"}),
+    "evaluation-refuses-an-ordinal": (
+        [(verify, "eval_arith", _not_an_ordinal)],
+        lambda: check_roundtrip(["x = x"], "ad", SMALL, value_cutoff=4),
+        {"roundtrip-raise"}),
+    "roundtrip-budget": (
+        [], lambda: check_roundtrip(
+            ["exp(2, x) = exp(2, x)"], "ad",
+            EvalContext(nat_cutoff=32, set_cutoff=32, code_budget=64),
+            value_cutoff=256),
+        {"roundtrip-budget"}),
+    "card-add-drops-y": (
+        [(cardinal, "card_add", lambda x, y, budget=0: x)],
+        lambda: check_cardinal_model(SMALL), {"size-of-sum", "cardinal-law"}),
+    "product-drops-y": (
+        [(cardinal, "product", lambda x, y, budget=0: x)],
+        lambda: check_cardinal_model(SMALL), {"size-of-product"}),
+    "card-exp-drops-y": (
+        [(cardinal, "card_exp", lambda x, y, budget=0: x)],
+        lambda: check_cardinal_model(SMALL), {"size-of-function-space"}),
+    "no-functions": (
+        [(cardinal, "count_functions", lambda x, y, budget=0: 0)],
+        lambda: check_cardinal_model(SMALL), {"function-count"}),
+    "no-injections": (
+        [(cardinal, "inj_exists", lambda x, y: False)],
+        lambda: check_cardinal_model(SMALL), {"injection-oracle"}),
+    "all-sets-equinumerous": (
+        [(cardinal, "card_eq", lambda x, y: True)],
+        lambda: check_cardinal_model(SMALL), {"cardinal-falsehood"}),
+    "cardinal-budget": (
+        [], lambda: check_cardinal_model(_tight(8)),
+        {"size-of-product-budget", "size-of-function-space-budget",
+         "function-count-budget", "cardinal-law-budget"}),
+    "selftest-broken-membership": (
+        [(verify, "mem", lambda x, y: True)], lambda: check_selftest(SMALL),
+        {"selftest-control"}),
+    "selftest-mutations-ignored": (
+        [(verify, "membership_bit_formula",
+          lambda mutation=None: _CANONICAL_BIT())],
+        lambda: check_selftest(SMALL), {"selftest-mutation"}),
+}
+
+
+@pytest.mark.parametrize("scenario", FORCED)
+def test_forced_failure_replays_from_its_serialized_dict(monkeypatch,
+                                                         scenario):
+    patches, run, kinds = FORCED[scenario]
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
+    found = {}
+    for case in run().cases:
+        if case.counterexample is not None:
+            found.setdefault(case.counterexample["kind"],
+                             json.loads(json.dumps(case.counterexample)))
+    assert kinds <= found.keys()
+    for kind in kinds:
+        assert replay(found[kind]) is True, kind
+    if patches:
+        # replay checks again: with the primitive mended, nothing recurs
+        monkeypatch.undo()
+        assert not any(replay(found[kind]) for kind in kinds)
+
+
+def test_the_forced_kinds_are_the_checker_table():
+    forced = set().union(*(kinds for _, _, kinds in FORCED.values()))
+    assert {k for k in forced if not k.endswith("-budget")} \
+        == set(verify._KINDS)
+
+
+def test_ordinal_control_replays_under_its_recorded_context():
+    # the context of test_09's negative control, which replay no longer
+    # needs to be handed back
+    control_ctx = EvalContext(nat_cutoff=64, set_cutoff=64)
+    lines = translatable_lines("arith.txt", "ao")
+    failures = check_roundtrip(lines, "ao", control_ctx,
+                               value_cutoff=16).failures()
+    assert failures
+    for c in failures:
+        assert EvalContext(**c.counterexample["context"]) == control_ctx
+        assert replay(c.counterexample)
