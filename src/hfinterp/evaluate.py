@@ -43,9 +43,11 @@ finds that it does not apply is dropped:
 
 - the chain solver, for a bounded arithmetic existential chain whose
   matrix is a single linear equation in the chain's variables (the shape
-  the membership translation produces): when the coefficients form a
-  positional number system the witness is read off by repeated divmod,
-  and believed only after an honest evaluation of the matrix;
+  the membership translation produces), planned once into integer forms
+  over its distinct terms, so that a decision reads each term at most
+  once: when the coefficients form a positional number system the
+  witness is read off by repeated divmod, and believed only after an
+  honest evaluation of the matrix;
 - the graph witness, for an unbounded set existential whose variable is
   pinned by an ordinal graph atom `ordop(a, b, v)` among the body's
   conjuncts: no other value can satisfy it, so the body is evaluated on
@@ -139,7 +141,7 @@ from .formulas import (
     free_vars,
     is_bounded,
 )
-from .interp import bit_formula_parts, translate_a
+from .interp import bit_formula_parts, translate_a, translate_a_term
 
 DEFAULT_CUTOFF = 256
 
@@ -711,7 +713,7 @@ def _quantifier(q, bound, body, walk: bool):
             bound(env, ctx)), body, ())
     if isinstance(q, ArithFormula):
         chain = () if univ or bound is None else (
-            (None, partial(_arith_chain, var, q.bound, q.body)),)
+            (None, partial(_chain_plan, var, q.bound, q.body)),)
         return _quantify(univ, var, partial(_arith_range, bound), body, chain)
     order_bounded = bound is not None and q.bound_kind == BOUND_ORDER
     deciders = []
@@ -768,63 +770,58 @@ def _set_range(bound, order_bounded: bool, env, ctx):
 # the chain solver
 # ---------------------------------------------------------------------------
 
-def _linear_form(t: ArithTerm, chain: "frozenset[str]") -> "tuple | None":
-    """(const, coeffs) with t = sum(const) + the sum over v of
-    sum(coeffs[v]) * v, every term in them free of the chain's variables;
-    None outside the linear fragment."""
+def _summands(t: ArithTerm, chain: "frozenset[str]") -> "list | None":
+    """[(v, u), ...] with t the sum of the products u * v, v None for a
+    constant u, and every u free of the chain's variables; None outside
+    the linear fragment."""
     if not free_vars(t) & chain:
-        return (t,), {}
-    if isinstance(t, AVar):
-        return (), {t.name: (ALit(1),)}
-    if not isinstance(t, AOp):
-        return None  # a separation term over chain variables: give up
+        return [(None, t)]
+    if type(t) is AVar:
+        return [(t.name, ALit(1))]
+    if type(t) is not AOp or t.op not in ("S", "+", "*"):
+        return None  # a separation term, exp or a code operation
     if t.op == "S":
-        inner = _linear_form(t.args[0], chain)
-        return None if inner is None else (inner[0] + (ALit(1),), inner[1])
+        t = AOp("+", (t.args[0], ALit(1)))
     if t.op == "+":
-        left = _linear_form(t.args[0], chain)
-        right = _linear_form(t.args[1], chain)
-        if left is None or right is None:
-            return None
-        coeffs = dict(left[1])
-        for v, ts in right[1].items():
-            coeffs[v] = coeffs.get(v, ()) + ts
-        return left[0] + right[0], coeffs
-    if t.op == "*":
-        scale, body = t.args
-        if free_vars(scale) & chain:
-            scale, body = body, scale
-        if free_vars(scale) & chain:
-            return None  # quadratic
-        inner = _linear_form(body, chain)
-        if inner is None:
-            return None
-        mul = lambda ts: tuple(AOp("*", (scale, u)) for u in ts)  # noqa: E731
-        return mul(inner[0]), {v: mul(ts) for v, ts in inner[1].items()}
-    return None  # exp or a code operation over chain variables
+        left = _summands(t.args[0], chain)
+        right = _summands(t.args[1], chain)
+        return None if left is None or right is None else left + right
+    scale, body = t.args
+    if free_vars(scale) & chain:
+        scale, body = body, scale
+    if free_vars(scale) & chain:
+        return None  # quadratic
+    inner = _summands(body, chain)
+    return None if inner is None else \
+        [(v, AOp("*", (scale, u))) for v, u in inner]
 
 
-@dataclass(frozen=True)
-class _ChainPlan:
-    """exists v1 < b1. ... exists vk < bk. lhs = rhs, compiled: the net
-    coefficient of each variable and the constants as summed terms."""
-
-    vars: "tuple[str, ...]"
-    bounds: tuple                  # compiled bound terms
-    net: tuple                     # (var, left terms, right terms)
-    const: tuple                   # (left terms, right terms)
-    atom: object                   # the compiled matrix
-
-
-def _terms(ts) -> tuple:
-    return tuple(_compile(u) for u in ts)
+def _folded(t: ArithTerm) -> "int | ArithTerm":
+    """The value of t when S, + and * build it from literals, u when t is
+    `u * 1` or `1 * u`, else t: only what cannot raise is folded away."""
+    if type(t) is ALit:
+        return t.value
+    if type(t) is not AOp or t.op not in ("S", "+", "*"):
+        return t
+    a = list(map(_folded, t.args))
+    if all(type(n) is int for n in a):
+        return a[0] + 1 if t.op == "S" else \
+            a[0] + a[1] if t.op == "+" else a[0] * a[1]
+    return a[a.index(1) ^ 1] if t.op == "*" and 1 in a else t
 
 
-def _chain_plan(names: list, bounds: list,
-                atom: ArithFormula) -> "_ChainPlan | None":
-    """The plan of `exists v1 < b1. ... exists vk < bk. atom` over the
-    variables `names` and the bounds `bounds`; None outside the
-    fragment."""
+def _chain_plan(var: str, bound: ArithTerm, atom: ArithFormula):
+    """The chain-solver decider of `exists var < bound. atom`, where atom
+    may open the chain's further bounded existentials; None outside the
+    fragment.  Planned once: `terms` holds one compiled term per distinct
+    term, in reading order, and each number the solver needs is a form
+    (literal, indices added, indices subtracted) into it.  A variable's
+    position is its rank by name; literal coefficients fix their order."""
+    names, bounds = [var], [bound]
+    while isinstance(atom, AExists) and atom.bound is not None:
+        names.append(atom.var)
+        bounds.append(atom.bound)
+        atom = atom.body
     chain = frozenset(names)
     if len(chain) < len(names) or not isinstance(atom, ARel) \
             or atom.op != "=":
@@ -832,84 +829,106 @@ def _chain_plan(names: list, bounds: list,
     for b in bounds:
         if free_vars(b) & chain:
             return None  # a bound refers to a chain variable
-    lhs = _linear_form(atom.args[0], chain)
-    rhs = _linear_form(atom.args[1], chain)
+    lhs = _summands(atom.args[0], chain)
+    rhs = _summands(atom.args[1], chain)
     if lhs is None or rhs is None:
         return None
-    net = tuple((v, _terms(lhs[1].get(v, ())), _terms(rhs[1].get(v, ())))
-                for v in names)
-    return _ChainPlan(tuple(names), _terms(bounds), net,
-                      (_terms(lhs[0]), _terms(rhs[0])), _compile(atom))
+    table: dict = {}  # a distinct term -> its index, in reading order
 
+    def form(v, plus, minus) -> tuple:
+        """v's summands in plus less those in minus, as a form."""
+        lit, out = 0, ([], [])
+        for sign, side in ((1, plus), (-1, minus)):
+            for u in (_folded(t) for w, t in side if w == v):
+                if type(u) is int:
+                    lit += sign * u
+                else:
+                    out[sign < 0].append(table.setdefault(u, len(table)))
+        return lit, tuple(out[0]), tuple(out[1])
 
-def _arith_chain(var: str, bound: ArithTerm, body: ArithFormula):
-    """The chain-solver decider of `exists var < bound. body`, or None
-    outside its fragment."""
-    names, bounds = [var], [bound]
-    while isinstance(body, AExists) and body.bound is not None:
-        names.append(body.var)
-        bounds.append(body.bound)
-        body = body.body
-    plan = _chain_plan(names, bounds, body)
-    return None if plan is None else partial(_solve_chain, plan)
+    ranked = sorted(names)
+    coeffs = {v: form(v, lhs, rhs) for v in names}  # lhs - rhs
+    coeffs = [coeffs[v] for v in ranked]
+    constants = form(None, rhs, lhs)
+    head = len(table)  # the terms the equation reads
+    reads = tuple((ranked.index(v), form(None, [(None, b)], ()))
+                  for v, b in zip(names, bounds))  # a bound's, in order
+    # no coefficient can be positive and one may be negative: negate the
+    # equation now (and back, should every coefficient read 0)
+    flip = all(c <= 0 and not add for c, add, _ in coeffs) and \
+        any(c or sub for c, _, sub in coeffs)
+    if flip:
+        coeffs = [(-c, sub, add) for c, add, sub in coeffs]
+        constants = (-constants[0], constants[2], constants[1])
+    fixed = None
+    if all(c >= 0 and not add and not sub for c, add, sub in coeffs):
+        fixed = tuple(sorted((f[0], p) for p, f in enumerate(coeffs) if f[0]))
+    terms = tuple(map(_compile, table))
+    first, zeros = terms[:head], dict.fromkeys(ranked, 0)
+    check = _compile(atom)
 
-
-def _total(terms, env, ctx) -> int:
-    out = 0
-    for u in terms:
-        out += u(env, ctx)
-    return out
-
-
-def _solve_chain(plan: _ChainPlan, env: "dict[str, int]",
-                 ctx: EvalContext) -> "dict | bool | None":
-    """The witness (the environment extended by the chain's variables) or
-    False when the cascade decides the chain, None to fall back to
-    enumeration."""
-    coeffs = {}
-    for v, left, right in plan.net:
-        coeffs[v] = _total(left, env, ctx) - _total(right, env, ctx)
-    target = _total(plan.const[1], env, ctx) - _total(plan.const[0], env, ctx)
-    if any(c < 0 for c in coeffs.values()):
-        if all(c <= 0 for c in coeffs.values()):
-            coeffs = {v: -c for v, c in coeffs.items()}
-            target = -target
-        else:
-            return None  # mixed signs: not a positional system
-    if target < 0:
-        return False
-    limits = {}
-    for v, b in zip(plan.vars, plan.bounds):
-        limits[v] = b(env, ctx)
-        if limits[v] <= 0:
-            return False  # an empty range: the chain is false
-    # positional condition: each coefficient dominates everything the
-    # smaller ones can contribute
-    ordered = sorted((c, v) for v, c in coeffs.items() if c > 0)
-    room = 0
-    for c, v in ordered:
-        if c <= room:
-            return None
-        room += c * (limits[v] - 1)
-    witness = dict(env)
-    solved = set()
-    for _, v in reversed(ordered):
-        witness[v], target = divmod(target, coeffs[v])
-        solved.add(v)
-        if witness[v] >= limits[v]:
+    def solve(env, ctx):
+        """The witness (env extended by the chain's variables) or False
+        when the cascade decides the chain, None to fall back to
+        enumeration.  Each term is read at most once: the equation's
+        first, then a bound's when the cascade reaches it."""
+        vals = [u(env, ctx) for u in first]
+        target, add, sub = constants
+        for i in add:
+            target += vals[i]
+        for i in sub:
+            target -= vals[i]
+        order = fixed
+        if order is None:
+            order, signs = [], 0
+            for p, (c, add, sub) in enumerate(coeffs):
+                for i in add:
+                    c += vals[i]
+                for i in sub:
+                    c -= vals[i]
+                if c:
+                    order.append((c, p))
+                    signs |= 1 if c > 0 else 2
+            if signs & 2:
+                if signs & 1:
+                    return None  # mixed signs: not a positional system
+                order = [(-c, p) for c, p in order]
+                target = -target
+            order.sort()
+            if flip and not order:
+                target = -target
+        if target < 0:
             return False
-    if target != 0:
-        return False
-    for v in plan.vars:
-        if v not in solved:
-            # unconstrained by the equation; 0 is in every nonempty range
-            # (and the chain variable shadows any outer binding of v)
-            witness[v] = 0
-    # the witness came out of arithmetic on the analysis; believe only an
-    # honest evaluation of the matrix
-    if plan.atom(witness, ctx):
-        return witness
-    return None
+        limits = [0] * len(ranked)
+        for p, (limit, add, _) in reads:  # a bound subtracts nothing
+            for i in add:
+                if i == len(vals):  # first read here
+                    vals.append(terms[i](env, ctx))
+                limit += vals[i]
+            if limit <= 0:
+                return False  # an empty range: the chain is false
+            limits[p] = limit
+        # positional condition: each coefficient dominates everything the
+        # smaller ones can contribute
+        room = 0
+        for c, p in order:
+            if c <= room:
+                return None
+            room += c * (limits[p] - 1)
+        # a variable the equation leaves free stays 0, which is in every
+        # nonempty range (and the chain variable shadows an outer binding)
+        witness = {**env, **zeros}
+        for c, p in reversed(order):
+            q, target = divmod(target, c)
+            if q >= limits[p]:
+                return False
+            witness[ranked[p]] = q
+        if target != 0:
+            return False
+        # the witness came out of arithmetic on the analysis; believe
+        # only an honest evaluation of the matrix
+        return witness if check(witness, ctx) else None
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -998,82 +1017,63 @@ def _transported(image, names: "tuple[str, ...]", env, ctx) -> "bool | None":
         return None  # fall back to the honest walk
 
 
-_ORDER_CODE_OPS = {"oadd": "+", "omul": "*", "oexp": "exp"}
-
-
-def _order_code_form(t: SetTerm) -> "ArithTerm | None":
-    """The code of an order-arithmetic term, as an arithmetic term over
-    the codes of its variables; None outside the fragment.
-
-    This is the order isomorphism in term form: the n-th set's successor
-    is the (n+1)-th set, and the order operations act as +, *, exp on
-    positions, which equal codes.
-    """
-    if isinstance(t, SVar):
-        return AVar(t.name)
-    if isinstance(t, SEmpty):
-        return ALit(0)
-    if isinstance(t, SLit):
-        return ALit(t.value)
-    if isinstance(t, SOp):
-        if t.op == "osucc":
-            inner = _order_code_form(t.args[0])
-            return None if inner is None else AOp("S", (inner,))
-        if t.op in _ORDER_CODE_OPS:
-            parts = [_order_code_form(a) for a in t.args]
-            if any(p is None for p in parts):
-                return None
-            return AOp(_ORDER_CODE_OPS[t.op], tuple(parts))
-    return None
-
-
 def _order_chain(f: SExists):
     """The order-chain decider of f: an order-bounded existential chain
-    over order-arithmetic terms, transported to a code-side chain plan;
-    None outside that fragment."""
+    over order-arithmetic terms (built from variables, 0e and numerals by
+    osucc, +a, *a and expa), transported to the chain solver of its
+    a-image; None outside that fragment.
+
+    The a-image of such a term is its code: this is the order isomorphism
+    in term form, as the n-th set's successor is the (n+1)-th set, and
+    the order operations act as +, *, exp on positions, which equal
+    codes."""
     names, bounds = [], []
     body: SetFormula = f
     while isinstance(body, SExists) and body.bound_kind == BOUND_ORDER:
-        code_bound = _order_code_form(body.bound)
-        if code_bound is None:
-            return None
         names.append(body.var)
-        bounds.append(code_bound)
+        bounds.append(body.bound)
         body = body.body
     if not (isinstance(body, SRel) and body.op == "="):
         return None
-    lhs = _order_code_form(body.args[0])
-    rhs = _order_code_form(body.args[1])
-    if lhs is None or rhs is None:
-        return None
-    plan = _chain_plan(names, bounds, ARel("=", (lhs, rhs)))
-    if plan is None:
+    todo = bounds + list(body.args)  # order-arithmetic terms only
+    while todo:
+        u = todo.pop()
+        if type(u) is SOp and u.op in ("osucc", "oadd", "omul", "oexp"):
+            todo.extend(u.args)
+        elif type(u) not in (SVar, SEmpty, SLit):
+            return None
+    chain = ARel("=", tuple(map(translate_a_term, body.args)))
+    for v, b in zip(reversed(names), reversed(bounds)):
+        chain = AExists(v, translate_a_term(b), chain)
+    solve = _chain_plan(chain.var, chain.bound, chain.body)
+    if solve is None:
         return None
     needed = free_vars(body).union(*map(free_vars, bounds)) - set(names)
-    return partial(_solve_order_chain, plan, tuple(sorted(needed)), body,
-                   _compile(body))
+    return partial(_solve_order_chain, solve, tuple(names),
+                   tuple(sorted(needed)), body, _compile(body))
 
 
-def _solve_order_chain(plan: _ChainPlan, needed: "tuple[str, ...]",
-                       matrix: SetFormula, check, env,
-                       ctx) -> "bool | None":
+def _solve_order_chain(solve, names: "tuple[str, ...]",
+                       needed: "tuple[str, ...]", matrix: SetFormula, check,
+                       env, ctx) -> "bool | None":
     """Decide an order-bounded chain through the coding, re-verifying any
     witness with the set operations themselves (so literal mode still
-    exercises the literal route once per decision).  `needed` lists the
-    outer variables the plan reads; `check` is the compiled matrix."""
+    exercises the literal route once per decision).  `solve` is the
+    chain solver of the code-side chain over `names`; `needed` lists the
+    outer variables it reads; `check` is the compiled matrix."""
     try:
         code_env = {v: encode(env[v], ctx.code_budget)
                     for v in needed if v in env}
     except BudgetExceeded:
         return None
-    witness = _solve_chain(plan, code_env, ctx)
+    witness = solve(code_env, ctx)
     if not witness:
         return witness  # False, or None to fall back
     inner = dict(env)
-    for v in plan.vars:
+    for v in names:
         inner[v] = decode(witness[v], ctx.code_budget)
     if not check(inner, ctx):
         raise AssertionError(
             "order-chain transport and set evaluation disagree on "
-            f"{matrix!r} at {sorted((v, witness[v]) for v in plan.vars)}")
+            f"{matrix!r} at {sorted((v, witness[v]) for v in names)}")
     return True

@@ -289,11 +289,15 @@ def _separation(ctx: EvalContext, formula: str, sets=_DECODED):
 
 
 def _finiteness(ctx: EvalContext, sets=_DECODED):
-    """A one-one map of a host's members to members of the host is onto."""
+    """A one-one map of a host's members to members of the host is onto:
+    the set of its images, built by adjunction, is the host itself."""
     def point(host_code: int, images: "list[int]"):
-        image = {sets[c] for c in images}
-        if len(image) == len(images) \
-                and image != set(sets[host_code].children):
+        if len(set(images)) < len(images):
+            return None  # not one-one (codes name sets one-one)
+        image = empty()
+        for c in images:
+            image = adjoin(image, sets[c])
+        if image is not sets[host_code]:
             return {}
     return point
 

@@ -218,6 +218,39 @@ def test_flat_sum_evaluates(capsys):
     assert (rc, out) == (1, "false\n")
 
 
+def test_flat_sum_in_a_solved_chain_evaluates(capsys):
+    # the chain solver folds the literal sum into one constant, one frame
+    # per level
+    rc, out, _ = run(capsys, "eval", "--arith",
+                     "exists n < 2. n + " + FLAT_SUM[4:] + " = 601")
+    assert (rc, out) == (0, "true\n")
+
+
+@pytest.mark.parametrize("argv, solver, want", [
+    # reads its constant, which is refused; the walk sees the empty range
+    (("exists n < 0. n = exp(2, exp(2, 40))",), (), (2, "")),
+    (("exists n < 0. n = exp(2, exp(2, 40))",), ("--no-solver",),
+     (1, "false\n")),
+    # the coefficient reads 0 and the target is negative: false before the
+    # range is read, which the walk reads and refuses
+    (("exists n < exp(2, exp(2, 40)). 3 = x * n", "-b", "x=0"), (),
+     (1, "false\n")),
+    (("exists n < exp(2, exp(2, 40)). 3 = x * n", "-b", "x=0"),
+     ("--no-solver",), (2, "")),
+], ids=["constant-solver", "constant-walk", "zero-solver", "zero-walk"])
+def test_chain_solver_reads_its_equation_before_its_bounds(capsys, argv,
+                                                           solver, want):
+    rc, out, _ = run(capsys, "eval", "--arith", *argv, *solver)
+    assert (rc, out) == want
+
+
+def test_chain_solver_never_walks_its_range(capsys):
+    # a range of 2^100000 numbers: the walk would be refused
+    rc, out, _ = run(capsys, "eval", "--arith",
+                     "exists n < exp(2, 100000). n = 3")
+    assert (rc, out) == (0, "true\n")
+
+
 def test_flat_sum_translates(capsys):
     rc, out, _ = run(capsys, "translate", "--map", "d", FLAT_SUM)
     assert rc == 0

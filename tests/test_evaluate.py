@@ -285,6 +285,62 @@ def test_solver_declines_non_positional_systems():
         assert on == off, x
 
 
+#: outer terms that a chain's coefficients, constants and bounds share
+SHARED = ("x", "y", "exp(2, x)", "x + 1", "x * y")
+TERMS = st.one_of(st.integers(0, 4).map(str), st.sampled_from(SHARED))
+COEFFICIENTS = st.one_of(TERMS, TERMS.map(lambda u: f"({u}) * 1"),
+                         TERMS.map(lambda u: f"1 * ({u})"))
+
+
+@st.composite
+def linear_chains(draw):
+    """exists a < b1. ... lhs = rhs over 1-3 variables, each on one side
+    or on both, with coefficients that may fold, share a term or be 0, so
+    that a net coefficient's sign may be known at plan time or not."""
+    names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    sides = ([], [])
+    for v in names:
+        side = draw(st.integers(0, 1))
+        for s in range(side, side + draw(st.integers(1, 2))):
+            sides[s % 2].append(f"({draw(COEFFICIENTS)}) * {v}")
+    for _ in range(draw(st.integers(0, 2))):
+        sides[draw(st.integers(0, 1))].append(f"({draw(TERMS)})")
+    text = " = ".join(" + ".join(side) or "0" for side in sides)
+    for v in reversed(names):
+        text = f"exists {v} < {draw(TERMS)}. {text}"
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(linear_chains(), st.integers(0, 3), st.integers(0, 3))
+def test_resolved_chain_plan_agrees_with_enumeration(text, x, y):
+    """Literal, folded, shared, negative, mixed and zero coefficients and
+    empty ranges: the solver's verdict is the walk's."""
+    f = parse_arith(text)
+    verdicts = []
+    for ctx in (CTX, EvalContext(solver=False)):
+        try:
+            verdicts.append(eval_arith(f, {"x": x, "y": y}, ctx))
+        except BudgetExceeded:
+            return
+    assert verdicts[0] == verdicts[1], text
+
+
+def test_chain_solver_reads_a_shared_term_once(monkeypatch):
+    # pow(x) is both the constant and the bound: one read per decision,
+    # which the honest re-check of the witness finds in its memo
+    calls = []
+    real = evaluate._pow_code
+    monkeypatch.setattr(evaluate, "_pow_code",
+                        lambda *a: calls.append(a) or real(*a))
+    for x in range(8):
+        f = parse_arith("exists m < pow(x). m + 1 = pow(x)")
+        del calls[:]
+        assert eval_arith(f, {"x": x}, CTX)
+        assert len(calls) == 1, x
+
+
+
 # ---------------------------------------------------------------------------
 # set evaluation
 # ---------------------------------------------------------------------------

@@ -411,6 +411,9 @@ FORCED = {
     "decode-one-is-empty": (
         [(verify, "decode", lambda c: core.decode(0 if c == 1 else c))],
         lambda: check_axioms(SMALL), {"finiteness"}),
+    "adjoin-drops-the-member": (
+        [(verify, "adjoin", lambda x, y: x)],
+        lambda: check_axioms(SMALL), {"finiteness"}),
     "no-set-is-a-level": (
         [(verify, "is_level", lambda lvl: False)],
         lambda: check_axioms(SMALL), {"least-level"}),
