@@ -438,7 +438,13 @@ def _parse_literal(text: str, pos: int) -> "tuple[int, HFSet]":
             end += 1
         if end == pos + 1:
             raise FormulaSyntaxError("expected digits after '#'", text, pos)
-        return end, decode(int(text[pos + 1:end]))
+        try:
+            n = int(text[pos + 1:end])
+        except ValueError:  # more digits than the interpreter converts
+            raise FormulaSyntaxError(
+                f"numeral of {end - pos - 1} digits is too long",
+                text, pos) from None
+        return end, decode(n)
     if ch != "{":
         raise FormulaSyntaxError("expected '{' or '#'", text, pos)
     pos = _skip_ws(text, pos + 1)

@@ -770,28 +770,31 @@ def _set_range(bound, order_bounded: bool, env, ctx):
 # the chain solver
 # ---------------------------------------------------------------------------
 
-def _summands(t: ArithTerm, chain: "frozenset[str]") -> "list | None":
+def _summands(t: ArithTerm, chain: "frozenset[str]",
+              known: dict) -> "list | None":
     """[(v, u), ...] with t the sum of the products u * v, v None for a
     constant u, and every u free of the chain's variables; None outside
-    the linear fragment."""
-    if not free_vars(t) & chain:
+    the linear fragment.  `known` is free_vars' table for t's tree, so
+    each subtree's variables are found once."""
+    if not free_vars(t, known) & chain:
         return [(None, t)]
     if type(t) is AVar:
         return [(t.name, ALit(1))]
     if type(t) is not AOp or t.op not in ("S", "+", "*"):
         return None  # a separation term, exp or a code operation
-    if t.op == "S":
-        t = AOp("+", (t.args[0], ALit(1)))
+    if t.op == "S":  # u + 1
+        inner = _summands(t.args[0], chain, known)
+        return None if inner is None else inner + [(None, ALit(1))]
     if t.op == "+":
-        left = _summands(t.args[0], chain)
-        right = _summands(t.args[1], chain)
+        left = _summands(t.args[0], chain, known)
+        right = _summands(t.args[1], chain, known)
         return None if left is None or right is None else left + right
     scale, body = t.args
-    if free_vars(scale) & chain:
+    if free_vars(scale, known) & chain:
         scale, body = body, scale
-    if free_vars(scale) & chain:
+    if free_vars(scale, known) & chain:
         return None  # quadratic
-    inner = _summands(body, chain)
+    inner = _summands(body, chain, known)
     return None if inner is None else \
         [(v, AOp("*", (scale, u))) for v, u in inner]
 
@@ -826,11 +829,14 @@ def _chain_plan(var: str, bound: ArithTerm, atom: ArithFormula):
     if len(chain) < len(names) or not isinstance(atom, ARel) \
             or atom.op != "=":
         return None
+    # free_vars' table for this tree: keyed by id, so it must see only
+    # nodes that stay alive while it does
+    known: dict = {}
     for b in bounds:
-        if free_vars(b) & chain:
+        if free_vars(b, known) & chain:
             return None  # a bound refers to a chain variable
-    lhs = _summands(atom.args[0], chain)
-    rhs = _summands(atom.args[1], chain)
+    lhs = _summands(atom.args[0], chain, known)
+    rhs = _summands(atom.args[1], chain, known)
     if lhs is None or rhs is None:
         return None
     table: dict = {}  # a distinct term -> its index, in reading order
@@ -909,16 +915,22 @@ def _chain_plan(var: str, bound: ArithTerm, atom: ArithFormula):
                 return False  # an empty range: the chain is false
             limits[p] = limit
         # positional condition: each coefficient dominates everything the
-        # smaller ones can contribute
+        # smaller ones can contribute; a variable whose range is {0} adds
+        # no digit, so equal coefficients pass or fail in either order
         room = 0
         for c, p in order:
+            if limits[p] == 1:
+                continue
             if c <= room:
                 return None
             room += c * (limits[p] - 1)
-        # a variable the equation leaves free stays 0, which is in every
-        # nonempty range (and the chain variable shadows an outer binding)
+        # a variable the equation leaves free or whose range is {0} stays
+        # 0, which is in every nonempty range (and the chain variable
+        # shadows an outer binding)
         witness = {**env, **zeros}
         for c, p in reversed(order):
+            if limits[p] == 1:
+                continue
             q, target = divmod(target, c)
             if q >= limits[p]:
                 return False

@@ -13,7 +13,11 @@ operations.
 
 Both languages share the connectives and bounded quantifiers.  Nodes are
 frozen dataclasses, so formulas hash and compare structurally; printing
-is canonical (minimal parentheses) and is inverted by the parser.
+is canonical (minimal parentheses) and is inverted by the parser.  Every
+symbol's spelling is kept here once, in the tables one printer reads for
+both languages (`SYNTAX`, `BOUND_WORD`, `INFIX`, `FUNC`, and the relation
+arities: a relation is infix exactly when it is binary); the parser's one
+grammar reads the same tables.
 
 Every node class carries one child protocol: `child_fields` names the
 fields holding subtrees (a single node, a tuple of nodes, or an absent
@@ -336,14 +340,14 @@ _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 10, 20, 30, 40
 #: each connective and quantifier class and its counterpart in the other
 #: language, both ways
 TWIN = {}
-#: spelling and precedence of each connective and quantifier class
-_SYNTAX = {}
+#: spelling and precedence of each connective and binder class
+SYNTAX = {ASep: ("sepc", 0), SSep: ("sep", 0)}
 for _a, _s, _word, _prec in (
         (ANot, SNot, "!", _PREC_NOT), (AAnd, SAnd, "&", _PREC_AND),
         (AOr, SOr, "|", _PREC_OR), (AImplies, SImplies, "->", _PREC_IMPLIES),
         (AForall, SForall, "forall", 0), (AExists, SExists, "exists", 0)):
     TWIN[_a], TWIN[_s] = _s, _a
-    _SYNTAX[_a] = _SYNTAX[_s] = (_word, _prec)
+    SYNTAX[_a] = SYNTAX[_s] = (_word, _prec)
 
 
 # ---------------------------------------------------------------------------
@@ -482,98 +486,95 @@ def is_bounded(node) -> bool:
 
 _PREC_ADD, _PREC_MUL = 1, 2
 
-#: what separates a quantified variable from its bound, by bound kind
-#: (arithmetic quantifiers have none)
-_BOUND_WORD = {None: "<", BOUND_MEMBER: "in", BOUND_ORDER: "<a"}
+#: what separates a bound variable from its bound, by bound kind: an
+#: arithmetic bound has no kind, and a set separation's domain is a member
+#: bound
+BOUND_WORD = {None: "<", BOUND_MEMBER: "in", BOUND_ORDER: "<a"}
 
-#: infix spellings for set operations printed as s OP t
-_SET_INFIX = {"oadd": ("+a", _PREC_ADD), "omul": ("*a", _PREC_MUL),
-              "cadd": ("+c", _PREC_ADD), "cmul": ("*c", _PREC_MUL)}
-_SET_FUNC = {"pair": "pair", "pset": "P", "sum": "U", "rank": "R",
-             "vns": "vns", "osucc": "Sa", "oexp": "expa", "cexp": "expc",
-             "cardof": "cardof", "vadd": "vadd", "vmul": "vmul",
-             "vexp": "vexp"}
+#: spelling and precedence of each operation printed as s OP t
+INFIX = {"+": ("+", _PREC_ADD), "*": ("*", _PREC_MUL),
+         "oadd": ("+a", _PREC_ADD), "omul": ("*a", _PREC_MUL),
+         "cadd": ("+c", _PREC_ADD), "cmul": ("*c", _PREC_MUL)}
+#: spelling of each operation printed as f(...) under another name than its
+#: own; every other one is spelled by its name
+FUNC = {"pset": "P", "sum": "U", "rank": "R", "osucc": "Sa", "oexp": "expa",
+        "cexp": "expc"}
 
 
 def _paren(text: str, mine: int, context: int) -> str:
     return f"({text})" if mine < context else text
 
 
-def show_arith_term(t: ArithTerm, context: int = 0) -> str:
-    if isinstance(t, AVar):
+def _show_term(t, context: int) -> str:
+    """Print a term of either language."""
+    cls = type(t)
+    if cls is AVar or cls is SVar:
         return t.name
-    if isinstance(t, ALit):
+    if cls is ALit:
         return str(t.value)
-    if isinstance(t, ASep):
-        return (f"sepc({t.var} < {show_arith_term(t.bound)}, "
-                f"{show_arith(t.body)})")
-    if isinstance(t, AOp):
-        if t.op in ("+", "*"):
-            mine = _PREC_ADD if t.op == "+" else _PREC_MUL
-            left = show_arith_term(t.args[0], mine)
-            right = show_arith_term(t.args[1], mine + 1)
-            return _paren(f"{left} {t.op} {right}", mine, context)
-        args = []
-        for a in t.args:  # a loop, not a generator: one frame per level
-            args.append(show_arith_term(a))
-        return f"{t.op}({', '.join(args)})"
-    raise TypeError(f"not an arithmetic term: {t!r}")
-
-
-def show_set_term(t: SetTerm, context: int = 0) -> str:
-    if isinstance(t, SVar):
-        return t.name
-    if isinstance(t, SEmpty):
-        return "0e"
-    if isinstance(t, SLit):
+    if cls is SLit:
         return f"#{t.value}"
-    if isinstance(t, SEnum):
+    if cls is SEmpty:
+        return "0e"
+    if cls is SEnum:
         elems = []
-        for e in t.elems:
-            elems.append(show_set_term(e))
+        for e in t.elems:  # a loop, not a generator: one frame per level
+            elems.append(_show_term(e, 0))
         return "{" + ", ".join(elems) + "}"
-    if isinstance(t, SSep):
-        return f"sep({t.var} in {show_set_term(t.dom)}, {show_set(t.body)})"
-    if isinstance(t, SOp):
-        if t.op in _SET_INFIX:
-            sym, mine = _SET_INFIX[t.op]
-            left = show_set_term(t.args[0], mine)
-            right = show_set_term(t.args[1], mine + 1)
-            return _paren(f"{left} {sym} {right}", mine, context)
-        args = []
-        for a in t.args:  # a loop, not a generator: one frame per level
-            args.append(show_set_term(a))
-        return f"{_SET_FUNC[t.op]}({', '.join(args)})"
-    raise TypeError(f"not a set term: {t!r}")
+    if cls is ASep or cls is SSep:
+        word, bound = (BOUND_WORD[None], t.bound) if cls is ASep \
+            else (BOUND_WORD[BOUND_MEMBER], t.dom)
+        return (f"{SYNTAX[cls][0]}({t.var} {word} {_show_term(bound, 0)}, "
+                f"{_show(t.body, 0)})")
+    if cls is not AOp and cls is not SOp:
+        raise TypeError(f"not a term: {t!r}")
+    if t.op in INFIX:
+        sym, mine = INFIX[t.op]
+        left = _show_term(t.args[0], mine)
+        right = _show_term(t.args[1], mine + 1)
+        return _paren(f"{left} {sym} {right}", mine, context)
+    args = []
+    for a in t.args:
+        args.append(_show_term(a, 0))
+    return f"{FUNC.get(t.op, t.op)}({', '.join(args)})"
 
 
-def _show(f, context: int, term) -> str:
-    """Print a formula of either language; `term` prints its terms."""
+def _show(f, context: int) -> str:
+    """Print a formula of either language."""
     cls = type(f)
     if cls.binder:
-        head = f"{_SYNTAX[cls][0]} {f.var}"
+        head = f"{SYNTAX[cls][0]} {f.var}"
         if f.bound is not None:
-            word = _BOUND_WORD[getattr(f, "bound_kind", None)]
-            head += f" {word} {term(f.bound)}"
-        return _paren(f"{head}. {_show(f.body, 0, term)}", 0, context)
-    if cls in _SYNTAX:
-        sym, mine = _SYNTAX[cls]
+            word = BOUND_WORD[getattr(f, "bound_kind", None)]
+            head += f" {word} {_show_term(f.bound, 0)}"
+        return _paren(f"{head}. {_show(f.body, 0)}", 0, context)
+    if cls in SYNTAX:
+        sym, mine = SYNTAX[cls]
         if mine == _PREC_NOT:
-            return f"{sym}{_show(f.body, mine, term)}"
+            return f"{sym}{_show(f.body, mine)}"
         # -> associates right, & and | left
         right_assoc = mine == _PREC_IMPLIES
-        left = _show(f.left, mine + 1 if right_assoc else mine, term)
-        right = _show(f.right, mine if right_assoc else mine + 1, term)
+        left = _show(f.left, mine + 1 if right_assoc else mine)
+        right = _show(f.right, mine if right_assoc else mine + 1)
         return _paren(f"{left} {sym} {right}", mine, context)
-    args = [term(a) for a in f.args]
+    # a relation is infix exactly when it is binary
+    args = [_show_term(a, 0) for a in f.args]
     if len(args) == 2:
         return f"{args[0]} {f.op} {args[1]}"
     return f"{f.op}({', '.join(args)})"
 
 
+def show_arith_term(t: ArithTerm, context: int = 0) -> str:
+    return _show_term(t, context)
+
+
+def show_set_term(t: SetTerm, context: int = 0) -> str:
+    return _show_term(t, context)
+
+
 def show_arith(f: ArithFormula, context: int = 0) -> str:
-    return _show(f, context, show_arith_term)
+    return _show(f, context)
 
 
 def show_set(f: SetFormula, context: int = 0) -> str:
-    return _show(f, context, show_set_term)
+    return _show(f, context)

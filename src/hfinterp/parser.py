@@ -1,9 +1,14 @@
-"""Concrete syntax for both languages.
+"""Concrete syntax for both languages: one grammar.
 
 Inverts the printers in the formulas module: `parse_arith(show_arith(f))`
-is f again, and likewise on the set side.  Connective precedence is
-! > & > | > -> with -> associating right; a quantifier body extends as
-far right as possible; * binds tighter than +.
+is f again, and likewise on the set side.  One recursive-descent parser
+reads both languages, each through a grammar record whose spellings come
+from the printers' own tables (`SYNTAX`, `BOUND_WORD`, `INFIX`, `FUNC` and
+the relation arities, a relation being infix exactly when it is binary).
+Only the literal forms (12, #12, 0e, {...}) and the punctuation ( ) , .
+are spelled here.  Connective precedence is ! > & > | > -> with ->
+associating right; a quantifier body extends as far right as possible;
+* binds tighter than +.
 
 Arithmetic:  ``forall x < 10. exists y < x. y + 1 = x | x = 0``
 Set:         ``forall x in P(y). x <a vns(y) & !(x ~c {0e})``
@@ -11,66 +16,97 @@ Set:         ``forall x in P(y). x <a vns(y) & !(x ~c {0e})``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormulaSyntaxError
 from .formulas import (
     ALit,
     ARITH_OPS,
-    AAnd,
-    AExists,
-    AForall,
+    ARITH_RELS,
     AImplies,
-    ANot,
     AOp,
-    AOr,
     ARel,
-    ASep,
     AVar,
+    ArithFormula,
+    ArithTerm,
     BOUND_MEMBER,
     BOUND_ORDER,
+    BOUND_WORD,
+    FUNC,
+    INFIX,
     SEnum,
-    SAnd,
     SEmpty,
-    SExists,
-    SForall,
+    SET_OPS,
+    SET_RELS,
     SImplies,
     SLit,
-    SNot,
     SOp,
-    SOr,
     SRel,
-    SSep,
     SVar,
+    SYNTAX,
+    SetFormula,
+    SetTerm,
 )
 
-_ARITH_PUNCT = ("->", "(", ")", ",", ".", "=", "<", "!", "&", "|", "+", "*")
-_SET_PUNCT = ("<=c", "->", "~c", "<c", "<a", "+a", "+c", "*a", "*c",
-              "{", "}", "(", ")", ",", ".", "=", "!", "&", "|")
 
-#: surface spellings of set function symbols -> internal operation names
-_SET_FUNC_NAMES = {"pair": "pair", "P": "pset", "U": "sum", "R": "rank",
-                   "vns": "vns", "Sa": "osucc", "expa": "oexp",
-                   "expc": "cexp", "cardof": "cardof", "vadd": "vadd",
-                   "vmul": "vmul", "vexp": "vexp"}
+class _Grammar:
+    """One language's symbols by spelling, read off the printers' tables."""
 
-_ARITH_KEYWORDS = (frozenset(op for op in ARITH_OPS if op.isalnum())
-                   | frozenset(("forall", "exists", "sepc", "Dom",
-                                "OrdCode")))
-_SET_KEYWORDS = (frozenset(_SET_FUNC_NAMES)
-                 | frozenset(("forall", "exists", "sep", "in", "isord",
-                              "Dom", "ordadd", "ordmul", "ordexp", "0e")))
+    def __init__(self, lang, nodes, ops, rels, kinds, term_noun,
+                 rel_noun=None):
+        formula, _ = lang
+        self.var, self.lit, self.op, self.rel = nodes
+        self.sets = formula is SetFormula  # '#12', '0e' and '{...}'
+        self.bounds = {BOUND_WORD[k]: k for k in kinds}  # word -> bound kind
+        self.sep_bound = BOUND_WORD[kinds[0]]
+        self.quantifiers, self.connectives = {}, {}
+        for cls, (word, prec) in SYNTAX.items():
+            if not issubclass(cls, lang):
+                continue
+            if cls.binder:
+                if issubclass(cls, formula):
+                    self.quantifiers[word] = cls
+                else:
+                    self.separation = (word, cls)
+            elif cls.child_fields == ("body",):
+                self.negation = (word, cls)
+            else:  # precedence, its right operand's, class, no name
+                right = prec if cls is AImplies or cls is SImplies \
+                    else prec + 1
+                self.connectives[word] = (prec, right, cls, None)
+        self.infix = {INFIX[o][0]: (INFIX[o][1], INFIX[o][1] + 1, self.op, o)
+                      for o in ops if o in INFIX}
+        self.funcs = {FUNC.get(o, o): o for o in ops if o not in INFIX}
+        self.binary = [r for r, n in rels.items() if n == 2]
+        self.prefix = [r for r, n in rels.items() if n != 2]
+        words = [*self.bounds, *self.quantifiers, self.separation[0],
+                 self.negation[0], *self.connectives, *self.infix,
+                 *self.funcs, *rels]
+        self.keywords = frozenset(
+            [w for w in words if w[0].isalpha()] + ["0e"] * self.sets)
+        # longest first, as a symbol may begin with another; the sort is
+        # stable, so the punctuation, most often met, is tried first
+        self.punct = sorted(dict.fromkeys(
+            w for w in [*"(),." + "{}" * self.sets, *words]
+            if not w[0].isalpha()), key=len, reverse=True)
+        self.term_noun = term_noun
+        self.rel_noun = rel_noun or " or ".join(map(repr, self.binary))
 
 
-@dataclass(frozen=True)
-class _Token:
+_ARITH = _Grammar((ArithFormula, ArithTerm), (AVar, ALit, AOp, ARel),
+                  ARITH_OPS, ARITH_RELS, (None,), "a term")
+_SET = _Grammar((SetFormula, SetTerm), (SVar, SLit, SOp, SRel),
+                SET_OPS, SET_RELS, (BOUND_MEMBER, BOUND_ORDER), "a set term",
+                "a set relation")
+
+
+class _Token(NamedTuple):
     kind: str  # NAME | NUM | HASH | OP | END
     text: str
     pos: int
 
 
-def _tokenize(text: str, punct: "tuple[str, ...]",
-              set_lang: bool) -> "list[_Token]":
+def _tokenize(text: str, g: _Grammar) -> "list[_Token]":
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -78,7 +114,7 @@ def _tokenize(text: str, punct: "tuple[str, ...]",
         if c.isspace():
             i += 1
             continue
-        if c == "#" and set_lang:
+        if c == "#" and g.sets:
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
@@ -92,7 +128,7 @@ def _tokenize(text: str, punct: "tuple[str, ...]",
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            if (set_lang and text[i:j] == "0" and j < n and text[j] == "e"
+            if (g.sets and text[i:j] == "0" and j < n and text[j] == "e"
                     and (j + 1 == n or not text[j + 1].isalnum())):
                 out.append(_Token("NAME", "0e", i))
                 i = j + 1
@@ -107,7 +143,7 @@ def _tokenize(text: str, punct: "tuple[str, ...]",
             out.append(_Token("NAME", text[i:j], i))
             i = j
             continue
-        for op in punct:
+        for op in g.punct:
             if text.startswith(op, i):
                 out.append(_Token("OP", op, i))
                 i += len(op)
@@ -119,11 +155,12 @@ def _tokenize(text: str, punct: "tuple[str, ...]",
 
 
 class _Parser:
-    """Shared recursive-descent machinery; subclasses fill in the grammar."""
+    """Recursive descent over one language's grammar record."""
 
-    def __init__(self, text: str, punct, set_lang: bool):
+    def __init__(self, text: str, g: _Grammar):
         self.text = text
-        self.toks = _tokenize(text, punct, set_lang)
+        self.g = g
+        self.toks = _tokenize(text, g)
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -136,19 +173,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def at_op(self, *ops: str) -> bool:
+    def expect(self, text: str) -> _Token:
         tok = self.peek()
-        return tok.kind == "OP" and tok.text in ops
-
-    def at_name(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.text in names
-
-    def expect(self, kind: str, text: "str | None" = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise FormulaSyntaxError(f"expected {want!r}", self.text, tok.pos)
+        if tok.text != text:
+            raise FormulaSyntaxError(f"expected {text!r}", self.text, tok.pos)
         return self.take()
 
     def error(self, message: str) -> FormulaSyntaxError:
@@ -158,57 +186,66 @@ class _Parser:
         if self.peek().kind != "END":
             raise self.error("trailing input")
 
-    def variable(self, keywords) -> str:
-        tok = self.expect("NAME")
-        if tok.text in keywords:
-            raise FormulaSyntaxError(f"{tok.text!r} is reserved",
-                                     self.text, tok.pos)
-        return tok.text
+    def variable(self) -> str:
+        tok = self.peek()
+        if tok.kind != "NAME":
+            raise self.error("expected 'NAME'")
+        if tok.text in self.g.keywords:
+            raise self.error(f"{tok.text!r} is reserved")
+        return self.take().text
 
-    def args(self, parse_one) -> tuple:
-        self.expect("OP", "(")
-        if self.at_op(")"):
+    def args(self) -> tuple:
+        self.expect("(")
+        if self.peek().text == ")":
             self.take()
             return ()
-        out = [parse_one()]
-        while self.at_op(","):
+        out = [self.term()]
+        while self.peek().text == ",":
             self.take()
-            out.append(parse_one())
-        self.expect("OP", ")")
+            out.append(self.term())
+        self.expect(")")
         return tuple(out)
 
-    # -- connective layer, shared by both grammars --------------------------
+    def node(self, cls, name: str, args: tuple, pos: int):
+        """The operation or relation `name` applied to args; a wrong
+        number of them is a syntax error at the symbol."""
+        try:
+            return cls(name, args)
+        except ValueError as exc:
+            raise FormulaSyntaxError(str(exc), self.text, pos) from None
 
-    NOT, AND, OR, IMPLIES = SNot, SAnd, SOr, SImplies  # overridden
+    def infix(self, operand, table, least: int = 0):
+        """operand (SYMBOL operand)*, grouped by precedence, reading only
+        the symbols of precedence at least `least`.
+
+        `table` sends each symbol to (its precedence, the least one its
+        right operand reads, its class, its operation name or None for a
+        connective).  A chain that groups left is built in a loop."""
+        left = operand()
+        while True:
+            tok = self.peek()
+            entry = table.get(tok.text)
+            if entry is None or entry[0] < least:
+                return left
+            self.take()
+            _, right_least, cls, name = entry
+            right = self.infix(operand, table, right_least)
+            left = cls(left, right) if name is None else \
+                self.node(cls, name, (left, right), tok.pos)
+
+    # -- formulas ----------------------------------------------------------
 
     def formula(self):
-        left = self.or_formula()
-        if self.at_op("->"):
-            self.take()
-            return self.IMPLIES(left, self.formula())
-        return left
-
-    def or_formula(self):
-        left = self.and_formula()
-        while self.at_op("|"):
-            self.take()
-            left = self.OR(left, self.and_formula())
-        return left
-
-    def and_formula(self):
-        left = self.unary_formula()
-        while self.at_op("&"):
-            self.take()
-            left = self.AND(left, self.unary_formula())
-        return left
+        return self.infix(self.unary_formula, self.g.connectives)
 
     def unary_formula(self):
-        if self.at_op("!"):
+        g, tok = self.g, self.peek()
+        if tok.text == g.negation[0]:
             self.take()
-            return self.NOT(self.unary_formula())
-        if self.at_name("forall", "exists"):
+            return g.negation[1](self.unary_formula())
+        if tok.text in g.quantifiers:
             return self.quantifier()
-        if self.at_op("("):
+        if tok.text == "(":
             # a '(' may open a parenthesized formula or a term in an atom;
             # try the atom reading first and fall back
             save = self.i
@@ -218,193 +255,92 @@ class _Parser:
                 self.i = save
             self.take()
             body = self.formula()
-            self.expect("OP", ")")
+            self.expect(")")
             return body
         return self.atom()
 
-    # subclasses: quantifier, atom, term
-
-
-class _ArithParser(_Parser):
-    NOT, AND, OR, IMPLIES = ANot, AAnd, AOr, AImplies
-
-    def __init__(self, text: str):
-        super().__init__(text, _ARITH_PUNCT, set_lang=False)
-
     def quantifier(self):
-        word = self.take().text
-        var = self.variable(_ARITH_KEYWORDS)
-        bound = None
-        if self.at_op("<"):
-            self.take()
+        node = self.g.quantifiers[self.take().text]
+        var = self.variable()
+        bound, kind = None, None
+        if self.peek().text in self.g.bounds:
+            kind = self.g.bounds[self.take().text]
             bound = self.term()
-        self.expect("OP", ".")
+        self.expect(".")
         body = self.formula()
-        node = AForall if word == "forall" else AExists
-        return node(var, bound, body)
+        return node(var, bound, body) if kind is None \
+            else node(var, bound, body, kind)
 
     def atom(self):
-        if self.at_name("Dom", "OrdCode") and \
-                self.toks[self.i + 1].text == "(":
-            name = self.take().text
-            return ARel(name, self.args(self.term))
+        g, tok = self.g, self.peek()
+        if tok.text in g.prefix and self.toks[self.i + 1].text == "(":
+            self.take()
+            return self.node(g.rel, tok.text, self.args(), tok.pos)
         left = self.term()
-        if self.at_op("=", "<"):
-            op = self.take().text
-            return ARel(op, (left, self.term()))
-        raise self.error("expected '=' or '<'")
-
-    def term(self):
-        left = self.mul_term()
-        while self.at_op("+"):
-            self.take()
-            left = AOp("+", (left, self.mul_term()))
-        return left
-
-    def mul_term(self):
-        left = self.primary()
-        while self.at_op("*"):
-            self.take()
-            left = AOp("*", (left, self.primary()))
-        return left
-
-    def primary(self):
         tok = self.peek()
-        if tok.kind == "NUM":
-            self.take()
-            return ALit(int(tok.text))
-        if self.at_op("("):
-            self.take()
-            inner = self.term()
-            self.expect("OP", ")")
-            return inner
-        if tok.kind != "NAME":
-            raise self.error("expected a term")
-        if tok.text == "sepc":
-            self.take()
-            self.expect("OP", "(")
-            var = self.variable(_ARITH_KEYWORDS)
-            self.expect("OP", "<")
-            bound = self.term()
-            self.expect("OP", ",")
-            body = self.formula()
-            self.expect("OP", ")")
-            return ASep(var, bound, body)
-        if tok.text in ARITH_OPS:
-            self.take()
-            try:
-                return AOp(tok.text, self.args(self.term))
-            except ValueError as exc:
-                raise FormulaSyntaxError(str(exc), self.text, tok.pos)
-        if tok.text in _ARITH_KEYWORDS:
-            raise self.error(f"{tok.text!r} is reserved")
+        if tok.text not in g.binary:
+            raise self.error(f"expected {g.rel_noun}")
         self.take()
-        return AVar(tok.text)
+        return self.node(g.rel, tok.text, (left, self.term()), tok.pos)
 
-
-class _SetParser(_Parser):
-    NOT, AND, OR, IMPLIES = SNot, SAnd, SOr, SImplies
-
-    def __init__(self, text: str):
-        super().__init__(text, _SET_PUNCT, set_lang=True)
-
-    def quantifier(self):
-        word = self.take().text
-        var = self.variable(_SET_KEYWORDS)
-        bound, kind = None, BOUND_MEMBER
-        if self.at_name("in"):
-            self.take()
-            bound = self.term()
-        elif self.at_op("<a"):
-            self.take()
-            bound = self.term()
-            kind = BOUND_ORDER
-        self.expect("OP", ".")
-        body = self.formula()
-        node = SForall if word == "forall" else SExists
-        return node(var, bound, body, kind)
-
-    def atom(self):
-        if self.at_name("isord", "Dom", "ordadd", "ordmul", "ordexp") and \
-                self.toks[self.i + 1].text == "(":
-            name = self.take().text
-            try:
-                return SRel(name, self.args(self.term))
-            except ValueError as exc:
-                raise FormulaSyntaxError(str(exc), self.text, self.peek().pos)
-        left = self.term()
-        if self.at_op("=", "<a", "~c", "<c", "<=c"):
-            op = self.take().text
-            return SRel(op, (left, self.term()))
-        if self.at_name("in"):
-            self.take()
-            return SRel("in", (left, self.term()))
-        raise self.error("expected a set relation")
+    # -- terms -------------------------------------------------------------
 
     def term(self):
-        left = self.mul_term()
-        while self.at_op("+a", "+c"):
-            op = "oadd" if self.take().text == "+a" else "cadd"
-            left = SOp(op, (left, self.mul_term()))
-        return left
-
-    def mul_term(self):
-        left = self.primary()
-        while self.at_op("*a", "*c"):
-            op = "omul" if self.take().text == "*a" else "cmul"
-            left = SOp(op, (left, self.primary()))
-        return left
+        return self.infix(self.primary, self.g.infix)
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "HASH":
+        g, tok = self.g, self.peek()
+        if tok.kind == ("HASH" if g.sets else "NUM"):
             self.take()
-            return SLit(int(tok.text))
-        if self.at_name("0e"):
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                raise FormulaSyntaxError(
+                    f"numeral of {len(tok.text)} digits is too long",
+                    self.text, tok.pos) from None
+            return g.lit(value)
+        if tok.text == "0e":
             self.take()
             return SEmpty()
-        if self.at_op("{"):
-            self.take()
-            elems = []
-            if not self.at_op("}"):
-                elems.append(self.term())
-                while self.at_op(","):
-                    self.take()
-                    elems.append(self.term())
-            self.expect("OP", "}")
-            return SEnum(tuple(elems))
-        if self.at_op("("):
+        if tok.text == "(":
             self.take()
             inner = self.term()
-            self.expect("OP", ")")
+            self.expect(")")
             return inner
+        if tok.text == "{":
+            self.take()
+            elems = []
+            if self.peek().text != "}":
+                elems.append(self.term())
+                while self.peek().text == ",":
+                    self.take()
+                    elems.append(self.term())
+            self.expect("}")
+            return SEnum(tuple(elems))
         if tok.kind != "NAME":
-            raise self.error("expected a set term")
-        if tok.text == "sep":
+            raise self.error(f"expected {g.term_noun}")
+        if tok.text == g.separation[0]:
             self.take()
-            self.expect("OP", "(")
-            var = self.variable(_SET_KEYWORDS)
-            self.expect("NAME", "in")
+            self.expect("(")
+            var = self.variable()
+            self.expect(g.sep_bound)
             dom = self.term()
-            self.expect("OP", ",")
+            self.expect(",")
             body = self.formula()
-            self.expect("OP", ")")
-            return SSep(var, dom, body)
-        if tok.text in _SET_FUNC_NAMES:
+            self.expect(")")
+            return g.separation[1](var, dom, body)
+        if tok.text in g.funcs:
             self.take()
-            try:
-                return SOp(_SET_FUNC_NAMES[tok.text], self.args(self.term))
-            except ValueError as exc:
-                raise FormulaSyntaxError(str(exc), self.text, tok.pos)
-        if tok.text in _SET_KEYWORDS:
+            return self.node(g.op, g.funcs[tok.text], self.args(), tok.pos)
+        if tok.text in g.keywords:
             raise self.error(f"{tok.text!r} is reserved")
         self.take()
-        return SVar(tok.text)
+        return g.var(tok.text)
 
 
-def _parse(parser, rule: str, text: str):
-    """Run one rule of `parser` over the whole of `text`."""
-    p = parser(text)
+def _parse(g: _Grammar, rule: str, text: str):
+    """Run one rule of the grammar `g` over the whole of `text`."""
+    p = _Parser(text, g)
     try:
         out = getattr(p, rule)()
     except RecursionError:
@@ -417,19 +353,19 @@ def _parse(parser, rule: str, text: str):
 
 def parse_arith(text: str) -> "AForall | AExists | ARel | ANot | AAnd | AOr | AImplies":
     """Parse an arithmetic formula."""
-    return _parse(_ArithParser, "formula", text)
+    return _parse(_ARITH, "formula", text)
 
 
 def parse_arith_term(text: str):
     """Parse an arithmetic term."""
-    return _parse(_ArithParser, "term", text)
+    return _parse(_ARITH, "term", text)
 
 
 def parse_set(text: str):
     """Parse a set formula."""
-    return _parse(_SetParser, "formula", text)
+    return _parse(_SET, "formula", text)
 
 
 def parse_set_term(text: str):
     """Parse a set term."""
-    return _parse(_SetParser, "term", text)
+    return _parse(_SET, "term", text)

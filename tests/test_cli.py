@@ -267,6 +267,33 @@ def test_deeply_nested_term_is_a_syntax_error(capsys):
     assert err == "syntax error: formula nested too deeply\n"
 
 
+#: a numeral past the interpreter's 4300-digit limit on int()
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--arith", f"0 = {HUGE}"),
+    ("translate", "--map", "a", f"x = #{HUGE}"),
+    ("encode", f"#{HUGE}"),
+    ("eval", "--arith", "x = 0", "-b", f"x={HUGE}"),
+], ids=["eval", "translate", "encode", "binding"])
+def test_numeral_past_the_digit_limit_is_a_syntax_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (64, "")
+    assert err.startswith("syntax error: numeral of 5000 digits is too long")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--arith", "Dom(x, y)", "-b", "x=1", "-b", "y=2"),
+    ("translate", "--map", "d", "OrdCode(x, y)"),
+], ids=["eval-Dom", "translate-OrdCode"])
+def test_wrong_arity_relation_is_a_syntax_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (64, "")
+    assert err.startswith("syntax error: ") and \
+        "takes 1 arguments (at position 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     # map o turns each + into an existential and a conjunction, so the
     # image of a 500-term sum is about 1000 formula levels deep

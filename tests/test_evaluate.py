@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfinterp import cardinal, evaluate
+from hfinterp import cardinal, evaluate, formulas
 from hfinterp.arith import FAST, LITERAL
 from hfinterp.core import (
     decode,
@@ -295,19 +295,24 @@ COEFFICIENTS = st.one_of(TERMS, TERMS.map(lambda u: f"({u}) * 1"),
 @st.composite
 def linear_chains(draw):
     """exists a < b1. ... lhs = rhs over 1-3 variables, each on one side
-    or on both, with coefficients that may fold, share a term or be 0, so
-    that a net coefficient's sign may be known at plan time or not."""
+    or on both, with coefficients that may fold, share a term, be 0 or be
+    one coefficient common to every variable, so that a net coefficient's
+    sign may be known at plan time or not and equal coefficients meet;
+    some ranges are {0}."""
     names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    common = draw(st.one_of(st.none(), COEFFICIENTS))
     sides = ([], [])
     for v in names:
         side = draw(st.integers(0, 1))
         for s in range(side, side + draw(st.integers(1, 2))):
-            sides[s % 2].append(f"({draw(COEFFICIENTS)}) * {v}")
+            c = draw(COEFFICIENTS) if common is None else common
+            sides[s % 2].append(f"({c}) * {v}")
     for _ in range(draw(st.integers(0, 2))):
         sides[draw(st.integers(0, 1))].append(f"({draw(TERMS)})")
     text = " = ".join(" + ".join(side) or "0" for side in sides)
     for v in reversed(names):
-        text = f"exists {v} < {draw(TERMS)}. {text}"
+        bound = draw(st.one_of(st.just("1"), TERMS))
+        text = f"exists {v} < {bound}. {text}"
     return text
 
 
@@ -324,6 +329,42 @@ def test_resolved_chain_plan_agrees_with_enumeration(text, x, y):
         except BudgetExceeded:
             return
     assert verdicts[0] == verdicts[1], text
+
+
+@pytest.mark.parametrize("text", [
+    "exists a < exp(2, 30). exists b < 1. 3 * a + 3 * b = 6",
+    "exists b < exp(2, 30). exists a < 1. 3 * b + 3 * a = 6",
+])
+def test_chain_solver_verdict_does_not_depend_on_names(text):
+    # b's range is {0}, so it adds no digit: the equal coefficients pass
+    # the positional check whichever variable ranks first by name, and
+    # the walk could not decide either (a's range exceeds the budget)
+    assert eval_arith(parse_arith(text), {}, CTX) is True
+
+
+def test_chain_planning_is_linear_in_the_sum(monkeypatch):
+    # free_vars' node visits while planning a sum of k ones; a planner
+    # that re-walks each subtree at every level of the sum visits k^2 / 2
+    # (the counting wrapper doubles the frames per level, so the sums stay
+    # short of the recursion limit)
+    visits = []
+    real = formulas.free_vars
+
+    def counting(node, known=None):
+        visits.append(None)
+        return real(node, known)
+
+    monkeypatch.setattr(formulas, "free_vars", counting)
+    monkeypatch.setattr(evaluate, "free_vars", counting)
+
+    def planned(k):
+        f = parse_arith("exists n < 2. n + " + "+".join(["1"] * k)
+                        + " = N + 1")
+        del visits[:]
+        assert evaluate._chain_plan(f.var, f.bound, f.body) is not None
+        return len(visits)
+
+    assert planned(300) <= 2.2 * planned(150)
 
 
 def test_chain_solver_reads_a_shared_term_once(monkeypatch):

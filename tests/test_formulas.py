@@ -6,6 +6,12 @@ import pytest
 
 from hfinterp.errors import FormulaSyntaxError
 from hfinterp.formulas import (
+    ARITH_OPS,
+    ARITH_RELS,
+    FUNC,
+    INFIX,
+    SET_OPS,
+    SET_RELS,
     ALit,
     AAnd,
     AExists,
@@ -235,6 +241,74 @@ def test_is_bounded():
     assert is_bounded(parse_set("forall v in x. exists u <a v. u in v"))
     assert not is_bounded(parse_set("exists v. v = x"))
     assert is_bounded(parse_set_term("sep(v in x, v in y)"))
+
+
+# ---------------------------------------------------------------------------
+# every symbol of both languages, generated from the symbol tables
+# ---------------------------------------------------------------------------
+
+#: per language: operation, relation and variable nodes, the operation and
+#: relation arities, and the (parser, printer) pairs of terms and formulas
+LANGUAGES = (
+    (AOp, ARel, AVar, ARITH_OPS, ARITH_RELS,
+     (parse_arith_term, show_arith_term), (parse_arith, show_arith)),
+    (SOp, SRel, SVar, SET_OPS, SET_RELS,
+     (parse_set_term, show_set_term), (parse_set, show_set)),
+)
+
+
+def _args(var, n):
+    return tuple(var(f"x{i}") for i in range(n))
+
+
+def _symbol_cases():
+    """((parser, printer), node) for every operation with variable
+    arguments and nested in its first and its last argument, and every
+    relation with variable arguments and with an infix term first and
+    last."""
+    for op, rel, var, ops, rels, terms, formulas in LANGUAGES:
+        for name, arity in ops.items():
+            flat = op(name, _args(var, arity))
+            yield terms, flat
+            yield terms, op(name, (flat,) + flat.args[1:])
+            yield terms, op(name, flat.args[:-1] + (flat,))
+        infix = op(next(o for o in ops if o in INFIX), _args(var, 2))
+        for name, arity in rels.items():
+            args = _args(var, arity)
+            yield formulas, rel(name, args)
+            yield formulas, rel(name, (infix,) + args[1:])
+            yield formulas, rel(name, args[:-1] + (infix,))
+
+
+@pytest.mark.parametrize("pair, node", [
+    pytest.param(pair, node, id=pair[1](node))
+    for pair, node in _symbol_cases()])
+def test_every_symbol_prints_and_parses_back(pair, node):
+    parse, show = pair
+    assert parse(show(node)) == node
+
+
+def _one_argument_too_many():
+    """(parser, text) applying each function symbol and prefix relation to
+    one argument more than its arity."""
+    for _, _, _, ops, rels, terms, formulas in LANGUAGES:
+        for name, arity in ops.items():
+            if name not in INFIX:
+                names = ", ".join(f"x{i}" for i in range(arity + 1))
+                yield terms[0], f"{FUNC.get(name, name)}({names})"
+        for name, arity in rels.items():
+            if arity != 2:
+                names = ", ".join(f"x{i}" for i in range(arity + 1))
+                yield formulas[0], f"{name}({names})"
+
+
+@pytest.mark.parametrize("parse, text", [
+    pytest.param(parse, text, id=text)
+    for parse, text in _one_argument_too_many()])
+def test_one_argument_too_many_is_a_syntax_error_at_the_symbol(parse, text):
+    with pytest.raises(FormulaSyntaxError, match="arguments") as err:
+        parse(text)
+    assert err.value.pos == 0
 
 
 def test_syntax_errors_carry_positions():
