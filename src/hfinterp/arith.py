@@ -9,8 +9,8 @@ multiplication and exponentiation.
 Every binary operation has two routes that are checked against each other
 and must never be collapsed:
 
-- ``literal`` walks the materialized ordering and really builds the
-  tagged unions / pair sets / function counts;
+- ``literal`` really builds the tagged unions / pair sets / function
+  counts, and reads the result off the ordering at its position;
 - ``fast`` transports the operands to their codes, uses machine
   arithmetic, and decodes the result.
 
@@ -39,7 +39,7 @@ from .core import (
 from .errors import BudgetExceeded
 from .order import (
     MAX_MATERIALIZED_LEVEL,
-    ack_enum_iter,
+    ack_enum,
     ack_order,
     position,
 )
@@ -76,14 +76,11 @@ def _segments(x: HFSet, y: HFSet, mode: str,
 
 
 def _scan_to_segment_card(want: int, enum_budget: int) -> HFSet:
-    """Walk the ordering to the unique z whose segment has `want` members."""
+    """The unique z whose segment has `want` members: the want-th set."""
     if want > enum_budget:
         raise BudgetExceeded(
             f"literal result at position {want} exceeds the budget")
-    for i, z in ack_enum_iter():
-        if i == want:
-            return z
-    raise AssertionError("unreachable")
+    return ack_enum(want)
 
 
 def _keep_tagged_pairs(n: int) -> None:

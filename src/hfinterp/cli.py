@@ -154,10 +154,8 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-def _parse_bindings(args, ctx) -> dict:
-    from .evaluate import eval_arith_term, eval_set_term
+def _parse_bindings(args, ctx, parse_term, evaluate) -> dict:
     from .formulas import free_vars
-    from .parser import parse_arith_term, parse_set_term
 
     env = {}
     for item in args.bind:
@@ -166,41 +164,35 @@ def _parse_bindings(args, ctx) -> dict:
                 f"binding {item!r} is not of the form NAME=TERM")
         name, text = item.split("=", 1)
         name = name.strip()
-        if args.set_lang:
-            term = parse_set_term(text.strip())
-            if free_vars(term):
-                raise FormulaSyntaxError(
-                    f"binding for {name} must be a closed term")
-            env[name] = eval_set_term(term, {}, ctx)
-        else:
-            term = parse_arith_term(text.strip())
-            if free_vars(term):
-                raise FormulaSyntaxError(
-                    f"binding for {name} must be a closed term")
-            env[name] = eval_arith_term(term, {}, ctx)
+        term = parse_term(text.strip())
+        if free_vars(term):
+            raise FormulaSyntaxError(
+                f"binding for {name} must be a closed term")
+        env[name] = evaluate(term, {}, ctx)
     return env
 
 
 def _cmd_eval(args) -> int:
     from .evaluate import eval_arith, eval_set
     from .formulas import free_vars, is_bounded
-    from .parser import parse_arith, parse_set
+    from .parser import parse_arith, parse_arith_term, parse_set, \
+        parse_set_term
 
     ctx = _context(args)
-    env = _parse_bindings(args, ctx)
-    if args.set_lang:
-        f = parse_set(args.formula)
-        cutoff = ctx.set_cutoff
-    else:
-        f = parse_arith(args.formula)
-        cutoff = ctx.nat_cutoff
+    # eval_set and eval_arith compile and run any tree of their language,
+    # term or formula, so one evaluator serves the bindings and the formula
+    parse, parse_term, evaluate, cutoff = (
+        (parse_set, parse_set_term, eval_set, ctx.set_cutoff)
+        if args.set_lang else
+        (parse_arith, parse_arith_term, eval_arith, ctx.nat_cutoff))
+    env = _parse_bindings(args, ctx, parse_term, evaluate)
+    f = parse(args.formula)
     missing = free_vars(f) - set(env)
     if missing:
         raise FormulaSyntaxError(
             f"unbound variables: {', '.join(sorted(missing))} "
             "(bind them with -b NAME=TERM)")
-    value = eval_set(f, env, ctx) if args.set_lang \
-        else eval_arith(f, env, ctx)
+    value = evaluate(f, env, ctx)
     verdict = "true" if value else "false"
     if not is_bounded(f):
         verdict += f" at cutoff {cutoff}"

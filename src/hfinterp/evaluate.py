@@ -373,19 +373,6 @@ def _kpair_code(a: int, b: int, budget: int) -> int:
     return (1 << single) | (1 << both)
 
 
-_TAG0_CODE = 0  # left tag: members pair with 0e
-_TAG1_CODE = 1  # right tag: members pair with {0e}
-
-
-def _cadd_code(s: int, t: int, budget: int) -> int:
-    out = 0
-    for u in _bit_positions(s):
-        out |= _shifted_bit(_kpair_code(u, _TAG0_CODE, budget), budget)
-    for v in _bit_positions(t):
-        out |= _shifted_bit(_kpair_code(v, _TAG1_CODE, budget), budget)
-    return out
-
-
 def _shifted_bit(position: int, budget: int) -> int:
     if position >= budget:
         raise BudgetExceeded("element code exceeds the bit budget")
@@ -462,7 +449,9 @@ _ARITH_OPS = {
     "ordaddc": _ord_code_op("ordaddc", lambda i, j: i + j),
     "ordmulc": _ord_code_op("ordmulc", lambda i, j: i * j),
     "ordexpc": _ord_code_op("ordexpc", lambda i, j: i ** j),
-    "caddc": _op(lambda s, t, ctx: _cadd_code(s, t, ctx.code_budget)),
+    # the tagged union s x {0e} | t x {{0e}}: 1 and 2 code the tag sets
+    "caddc": _op(lambda s, t, ctx: _cmul_code(s, 1, ctx.code_budget)
+                 | _cmul_code(t, 2, ctx.code_budget)),
     "cmulc": _op(lambda s, t, ctx: _cmul_code(s, t, ctx.code_budget)),
     "cexpc": _op(_cexp_code),
 }
@@ -542,6 +531,16 @@ def _order_op(combine):
         enum_budget=ctx.enum_budget))
 
 
+#: ordinal graph relation -> the operation whose graph it is
+_ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
+
+
+def _ordinal(op: str, x: HFSet, y: HFSet, ctx) -> HFSet:
+    """The operation whose graph is `op`, on x and y, within the enumeration
+    budget: read by vadd/vmul/vexp, the graph atoms and the graph witness."""
+    return _ORD_GRAPHS[op](x, y, ctx.enum_budget)
+
+
 def _cardof(x: HFSet, ctx) -> HFSet:
     n = cardinal.card(x)
     if n > ctx.enum_budget:
@@ -566,19 +565,17 @@ _SET_OPS = {
     "cmul": _op(lambda x, y, ctx: cardinal.product(x, y, ctx.enum_budget)),
     "cexp": _op(lambda x, y, ctx: cardinal.card_exp(x, y, ctx.enum_budget)),
     "cardof": _op(_cardof),
-    "vadd": _op(lambda x, y, ctx: ord_add(x, y)),
-    "vmul": _op(lambda x, y, ctx: ord_mul(x, y)),
-    "vexp": _op(lambda x, y, ctx: ord_exp(x, y, ctx.enum_budget)),
+    "vadd": _op(partial(_ordinal, "ordadd")),
+    "vmul": _op(partial(_ordinal, "ordmul")),
+    "vexp": _op(partial(_ordinal, "ordexp")),
 }
 
 
-def _ord_graph(combine):
-    def holds(x: HFSet, y: HFSet, z: HFSet, ctx) -> bool:
-        try:
-            return combine(x, y) is z
-        except NotAnOrdinal:
-            return False
-    return _op(holds)
+def _ord_graph(op: str, x: HFSet, y: HFSet, z: HFSet, ctx) -> bool:
+    try:
+        return _ordinal(op, x, y, ctx) is z
+    except NotAnOrdinal:
+        return False
 
 
 def _membership(a, b):
@@ -597,8 +594,7 @@ _SET_RELS = {
     "<c": _op(lambda x, y, ctx: cardinal.card_lt(x, y)),
     "<=c": _op(lambda x, y, ctx: cardinal.inj_exists(x, y)),
     "isord": _op(lambda x, ctx: is_ordinal(x)),
-    "ordadd": _ord_graph(ord_add), "ordmul": _ord_graph(ord_mul),
-    "ordexp": _ord_graph(ord_exp),
+    **{op: _op(partial(_ord_graph, op)) for op in _ORD_GRAPHS},
 }
 
 
@@ -948,10 +944,6 @@ def _chain_plan(var: str, bound: ArithTerm, atom: ArithFormula):
 # order chain
 # ---------------------------------------------------------------------------
 
-#: ordinal graph relation -> the operation whose graph it is
-_ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
-
-
 def _conjuncts(f: SetFormula):
     while isinstance(f, SAnd):
         yield from _conjuncts(f.left)
@@ -998,8 +990,7 @@ def _pinned(pins: tuple, var: str, body, env, ctx) -> "bool | None":
         except ValueError:
             continue  # refers to a variable not in scope yet
         try:
-            witness = ord_exp(x, y, ctx.enum_budget) if op == "ordexp" \
-                else _ORD_GRAPHS[op](x, y)
+            witness = _ordinal(op, x, y, ctx)
         except NotAnOrdinal:
             return False
         inner = dict(env)
@@ -1020,11 +1011,14 @@ def _transport(f: SetFormula):
                    tuple(sorted(free_vars(f))))
 
 
+def _codes(env, names: "tuple[str, ...]", ctx) -> "dict[str, int]":
+    """The codes of the values env binds to names."""
+    return {v: encode(env[v], ctx.code_budget) for v in names if v in env}
+
+
 def _transported(image, names: "tuple[str, ...]", env, ctx) -> "bool | None":
     try:
-        code_env = {v: encode(env[v], ctx.code_budget)
-                    for v in names if v in env}
-        return image(code_env, ctx)
+        return image(_codes(env, names, ctx), ctx)
     except BudgetExceeded:
         return None  # fall back to the honest walk
 
@@ -1074,8 +1068,7 @@ def _solve_order_chain(solve, names: "tuple[str, ...]",
     chain solver of the code-side chain over `names`; `needed` lists the
     outer variables it reads; `check` is the compiled matrix."""
     try:
-        code_env = {v: encode(env[v], ctx.code_budget)
-                    for v in needed if v in env}
+        code_env = _codes(env, needed, ctx)
     except BudgetExceeded:
         return None
     witness = solve(code_env, ctx)

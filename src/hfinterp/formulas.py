@@ -117,6 +117,23 @@ SET_RELS = {
     "ordadd": 3, "ordmul": 3, "ordexp": 3,  # ordinal operation graphs
 }
 
+
+class _Applied:
+    """An operation or relation node: `op` applied to `args`, checked
+    against its class's `symbols` table (symbol -> arity)."""
+
+    __slots__ = ()
+    symbols: "dict[str, int]"
+    kind: str  # what the table holds, for the message
+
+    def __post_init__(self):
+        arity = self.symbols.get(self.op)
+        if arity is None:
+            raise ValueError(f"unknown {self.kind} {self.op!r}")
+        if len(self.args) != arity:
+            raise ValueError(f"{self.op} takes {arity} arguments")
+
+
 #: quantifier bound kinds in the set language
 BOUND_MEMBER = "member"
 BOUND_ORDER = "order"
@@ -141,15 +158,10 @@ class ALit(ArithTerm):
 
 
 @dataclass(frozen=True)
-class AOp(ArithTerm):
+class AOp(_Applied, ArithTerm):
     op: str
     args: "tuple[ArithTerm, ...]"
-
-    def __post_init__(self):
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"unknown arithmetic operation {self.op!r}")
-        if len(self.args) != ARITH_OPS[self.op]:
-            raise ValueError(f"{self.op} takes {ARITH_OPS[self.op]} arguments")
+    symbols, kind = ARITH_OPS, "arithmetic operation"
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,10 @@ class ASep(ArithTerm):
 
 
 @dataclass(frozen=True)
-class ARel(ArithFormula):
+class ARel(_Applied, ArithFormula):
     op: str
     args: "tuple[ArithTerm, ...]"
-
-    def __post_init__(self):
-        if self.op not in ARITH_RELS:
-            raise ValueError(f"unknown arithmetic relation {self.op!r}")
-        if len(self.args) != ARITH_RELS[self.op]:
-            raise ValueError(f"{self.op} takes {ARITH_RELS[self.op]} arguments")
+    symbols, kind = ARITH_RELS, "arithmetic relation"
 
 
 @dataclass(frozen=True)
@@ -247,15 +254,10 @@ class SEnum(SetTerm):
 
 
 @dataclass(frozen=True)
-class SOp(SetTerm):
+class SOp(_Applied, SetTerm):
     op: str
     args: "tuple[SetTerm, ...]"
-
-    def __post_init__(self):
-        if self.op not in SET_OPS:
-            raise ValueError(f"unknown set operation {self.op!r}")
-        if len(self.args) != SET_OPS[self.op]:
-            raise ValueError(f"{self.op} takes {SET_OPS[self.op]} arguments")
+    symbols, kind = SET_OPS, "set operation"
 
 
 @dataclass(frozen=True)
@@ -268,15 +270,10 @@ class SSep(SetTerm):
 
 
 @dataclass(frozen=True)
-class SRel(SetFormula):
+class SRel(_Applied, SetFormula):
     op: str
     args: "tuple[SetTerm, ...]"
-
-    def __post_init__(self):
-        if self.op not in SET_RELS:
-            raise ValueError(f"unknown set relation {self.op!r}")
-        if len(self.args) != SET_RELS[self.op]:
-            raise ValueError(f"{self.op} takes {SET_RELS[self.op]} arguments")
+    symbols, kind = SET_RELS, "set relation"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
 
 from .core import HFSet, empty, from_children, materialize_level, mem, tower
 from .errors import BudgetExceeded, NotASubset
@@ -34,21 +34,13 @@ class LinearOrder:
 
     items: "tuple[HFSet, ...]"
 
-    @property
+    @cached_property
     def index(self) -> "dict[HFSet, int]":
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = {x: i for i, x in enumerate(self.items)}
-            object.__setattr__(self, "_index", idx)
-        return idx
+        return {x: i for i, x in enumerate(self.items)}
 
-    @property
+    @cached_property
     def field(self) -> "frozenset[HFSet]":
-        fld = self.__dict__.get("_field")
-        if fld is None:
-            fld = frozenset(self.items)
-            object.__setattr__(self, "_field", fld)
-        return fld
+        return frozenset(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -178,38 +170,21 @@ def successor_a(x: HFSet) -> HFSet:
 
 
 # sets past the end of the largest materialized ordering, reached by
-# successor steps; grown on demand and shared between walks
+# successor steps; grown on demand and shared between reads
 _ENUM_EXT: "list[HFSet]" = []
 
 
-def ack_enum_iter(start: int = 0) -> "Iterator[tuple[int, HFSet]]":
-    """Enumerate (index, set) along the Ackermann ordering from `start`.
-
-    Indexes inside the largest materialized ordering are read off it;
-    beyond that the walk continues by successor steps (cached, so a
-    repeated deep walk does not redo the chain).
-    """
-    items = ack_order(MAX_MATERIALIZED_LEVEL).items
-    for i in range(start, len(items)):
-        yield i, items[i]
-    base = len(items)
-    i = max(start, base)
-    while True:
-        while i - base >= len(_ENUM_EXT):
-            prev = _ENUM_EXT[-1] if _ENUM_EXT else items[-1]
-            _ENUM_EXT.append(successor_a(prev))
-        yield i, _ENUM_EXT[i - base]
-        i += 1
-
-
 def ack_enum(i: int) -> HFSet:
-    """The i-th set of the Ackermann ordering (0-based)."""
-    order = ack_order(MAX_MATERIALIZED_LEVEL)
-    if i < len(order.items):
-        return order.items[i]
-    for j, z in ack_enum_iter(i):
-        return z
-    raise AssertionError("unreachable")
+    """The i-th set of the Ackermann ordering (0-based): read off the
+    largest materialized ordering, and past its end reached by successor
+    steps (kept, so a repeated deep read does not redo the chain)."""
+    items = ack_order(MAX_MATERIALIZED_LEVEL).items
+    if i < len(items):
+        return items[i]
+    while i - len(items) >= len(_ENUM_EXT):
+        prev = _ENUM_EXT[-1] if _ENUM_EXT else items[-1]
+        _ENUM_EXT.append(successor_a(prev))
+    return _ENUM_EXT[i - len(items)]
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,24 @@ def test_function_space_past_the_enum_budget(capsys, argv):
     assert "function space exceeds the enumeration budget" in err
 
 
+#: the von Neumann ordinal 11
+ELEVEN = "vns(" * 11 + "0e" + ")" * 11
+
+
+@pytest.mark.parametrize("formula", [
+    "ordexp(x, y, z)", "ordadd(y, y, z)", "vadd(y, y) = z",
+    "vmul(y, y) = z", "vexp(x, y) = z", "exists t. ordexp(x, y, t) & t = z",
+])
+def test_ordinal_operations_past_the_enum_budget(capsys, formula):
+    # 2^11, 11 + 11 and 11 * 11 all pass a budget of 10, on the operations,
+    # on their graph atoms and on the graph witness alike
+    rc, out, err = run(capsys, "eval", "--set", formula,
+                       "-b", "x=vns(vns(0e))", "-b", f"y={ELEVEN}",
+                       "-b", "z=0e", "--enum-budget", "10")
+    assert (rc, out) == (2, "")
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--set", "expa(x, y) = expa(x, y)", "-b", "x=#3", "-b", "y=#100"),
     # its a-image: both sides read the context's code budget

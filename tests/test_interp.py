@@ -9,10 +9,12 @@ quantifiers truncate at the context cutoff on both sides, so agreement
 holds whenever the two cutoffs coincide.
 """
 
+import itertools
 import random
 
 import pytest
 
+from hfinterp import evaluate
 from hfinterp.core import decode, encode, vn_ordinal
 from hfinterp.errors import LanguageMismatch
 from hfinterp.evaluate import (
@@ -38,6 +40,7 @@ from hfinterp.formulas import (
     SVar,
     children,
     free_vars,
+    is_bounded,
     show_arith,
     show_arith_term,
     show_set,
@@ -62,8 +65,8 @@ from hfinterp.interp import (
 from hfinterp.parser import parse_arith, parse_set, parse_set_term
 from hfinterp.verify import load_annotated_corpus, membership_bit_formula
 
-from test_formulas import random_arith, random_arith_term, random_set, \
-    random_set_term
+from test_formulas import LANGUAGES, _args, random_arith, \
+    random_arith_term, random_set, random_set_term
 
 SKIP = (BudgetExceeded, NotAnOrdinal)
 
@@ -213,6 +216,23 @@ def test_a_bound_mentioning_quantified_variable_is_renamed():
             assert got == want, (cx, cy)
 
 
+@pytest.mark.parametrize("src", [
+    "u in {x, y, z}",
+    "u in {x, y, z, v, w}",
+    # exact codes: the two folds agree exactly when v and w repeat x, y, z
+    "{x, y, z} = {x, y, z, v, w}",
+])
+def test_a_enumeration_of_three_or_more_elements(src):
+    f = parse_set(src)
+    g = translate_a(f)
+    names = sorted(free_vars(f))
+    ctx = _small_ctx()
+    for codes in itertools.product(range(4), repeat=len(names)):
+        want = eval_set(f, {n: decode(c) for n, c in zip(names, codes)}, ctx)
+        got = eval_arith(g, dict(zip(names, codes)), ctx)
+        assert got == want, codes
+
+
 # ---------------------------------------------------------------------------
 # c: numbers as cardinalities
 # ---------------------------------------------------------------------------
@@ -291,6 +311,23 @@ def test_c_rejects_code_operations():
             translate_c(parse_arith(src))
     with pytest.raises(LanguageMismatch):
         translate_c(ARel("OrdCode", (AVar("x"),)))
+
+
+#: unbounded formulas whose truth every cutoff of at least 4 shares
+CUTOFF_FREE = ["exists x. x = 0", "forall x. x = x", "forall x. !(x < 0)",
+               "exists x. 0 < S(x)"]
+
+
+@pytest.mark.parametrize("translate", [translate_c, translate_o],
+                         ids=["c", "o"])
+@pytest.mark.parametrize("src", CUTOFF_FREE)
+def test_unbounded_quantifier_images_agree(translate, src):
+    f = parse_arith(src)
+    g = translate(f)
+    assert not is_bounded(g)
+    for solver in (True, False):
+        ctx = EvalContext(nat_cutoff=8, set_cutoff=8, solver=solver)
+        assert eval_set(g, {}, ctx) == eval_arith(f, {}, ctx), solver
 
 
 def test_c_bounded_quantifier_keeps_cardinality_guard():
@@ -381,6 +418,24 @@ def test_o_bounded_quantifier_becomes_membership():
     assert isinstance(f, SForall)
     three = SOp("vns", (SOp("vns", (SOp("vns", (SEmpty(),)),)),))
     assert f.bound == three
+
+
+@pytest.mark.parametrize("src", ["exists y < y + 2. 1 < y",
+                                 "forall y < y + 1. y < 1"])
+def test_o_bound_mentioning_quantified_variable_is_renamed(src):
+    f = parse_arith(src)
+    g = translate_o(f)
+    # the outer y survives, free, in the image's bound
+    assert free_vars(g) == {"y"}
+    wants = set()
+    for solver in (True, False):
+        # ordinal 3, the largest bound below, has code 11
+        ctx = EvalContext(nat_cutoff=16, set_cutoff=16, solver=solver)
+        for y in range(2):
+            want = eval_arith(f, {"y": y}, ctx)
+            assert eval_set(g, {"y": vn_ordinal(y)}, ctx) == want, (solver, y)
+            wants.add(want)
+    assert wants == {True, False}
 
 
 def test_o_rejects_code_operations():
@@ -554,3 +609,32 @@ def test_set_term_walkers_take_one_frame_per_level(walk, wrap):
                                   show_arith_term, _eval_arith_term])
 def test_arith_term_walkers_take_one_frame_per_level(walk):
     walk(_nest(ALit(0), lambda t: AOp("S", (t,))))
+
+
+# ---------------------------------------------------------------------------
+# every symbol through the evaluator and every map
+# ---------------------------------------------------------------------------
+
+def _symbol_formulas():
+    """(language, formula) for every symbol of the tables, applied to
+    variables: a relation as its own atom, an operation as `op(...) = z`."""
+    for op, rel, var, ops, rels, _, _ in LANGUAGES:
+        lang = "arith" if op is AOp else "set"
+        for name, arity in ops.items():
+            yield lang, rel("=", (op(name, _args(var, arity)), var("z")))
+        for name, arity in rels.items():
+            yield lang, rel(name, _args(var, arity))
+
+
+@pytest.mark.parametrize("lang, f", [
+    pytest.param(lang, f, id=(show_arith if lang == "arith" else show_set)(f))
+    for lang, f in _symbol_formulas()])
+def test_every_symbol_compiles_and_every_map_takes_it(lang, f):
+    assert callable(evaluate._compile(f))
+    for m in MAPS.values():
+        if m.source != lang:
+            continue
+        try:
+            m(f)
+        except LanguageMismatch:
+            pass  # outside the map's fragment; a KeyError would be a gap
