@@ -7,6 +7,10 @@ class BudgetExceeded(Exception):
     """An operation would materialize more bits or candidates than allowed."""
 
 
+class RouteDisagreement(Exception):
+    """Two routes that must agree gave different answers on one question."""
+
+
 class NotAnOrdinal(ValueError):
     """An ordinal-only operation was applied to a non-ordinal set."""
 

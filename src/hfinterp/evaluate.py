@@ -21,23 +21,33 @@ level.
 
 Quantifiers.  Every quantifier of either language runs one loop,
 `_quantify`: it asks the quantifier's deciders, then walks its domain
-honestly.  The domain is chosen at compile time: the numbers below the
-bound, the members of a set bound, or the sets before it in the order
-(each raising BudgetExceeded past the enumeration budget); an unbounded
-quantifier is truncated to the context's cutoff, which is good enough
-for the finite instances this package checks and is reported as such by
-the CLI.  One more domain is the member walk: when an arithmetic
-quantifier reads `forall v < T. guard -> rest` or `exists v < T. guard &
-rest` and its guard is the bit formula of v in T
-(`interp.bit_formula_parts`), v ranges over the set bits of T and only
-rest is evaluated.  Being a domain, the member walk runs on both solver
-routes.
+honestly.  The domain is chosen once, at compile time, in `_quantifier`:
+the numbers below the bound, the members of a set bound, or the sets
+before it in the order (each raising BudgetExceeded past the enumeration
+budget); an unbounded quantifier is truncated to the context's cutoff,
+which is good enough for the finite instances this package checks and is
+reported as such by the CLI.  Two more domains replace a range when no
+value outside them can count:
+
+- the member walk: when an arithmetic quantifier reads `forall v < T.
+  guard -> rest` or `exists v < T. guard & rest` and its guard is the bit
+  formula of v in T (`interp.bit_formula_parts`), v ranges over the set
+  bits of T and only rest is evaluated;
+- the pinned candidate: when an unbounded set existential's variable is
+  pinned by an ordinal graph atom `ordop(a, b, v)` among the body's
+  conjuncts, v ranges over `{ordop(a, b)}`, or over nothing when a or b
+  is not an ordinal (ordinal codes grow as towers, so a cutoff range
+  soon misses them).
+
+Being domains, both run on both solver routes.
 
 Deciders.  A decider is a function ``decide(env, ctx)`` that returns
 True or False when it settles the quantifier and None to fall through;
-the chain solver's true answer is its witness, a nonempty dict.  A
-quantifier's deciders run only when ``ctx.solver`` is on, in a fixed
-order, before the walk.  Each is built by its maker on the first call in
+the chain solver's true answer is its witness, a nonempty dict.  Deciders
+are shortcuts: each answers what the walk of its domain would, so
+``ctx.solver`` changes the time a verdict takes, not the verdict (a
+budget may refuse one route only).  They run only when ``ctx.solver`` is
+on, in a fixed order, before the walk.  Each is built by its maker on the first call in
 a mode it runs in and kept in the quantifier's closure; one whose maker
 finds that it does not apply is dropped:
 
@@ -48,16 +58,13 @@ finds that it does not apply is dropped:
   once: when the coefficients form a positional number system the
   witness is read off by repeated divmod, and believed only after an
   honest evaluation of the matrix;
-- the graph witness, for an unbounded set existential whose variable is
-  pinned by an ordinal graph atom `ordop(a, b, v)` among the body's
-  conjuncts: no other value can satisfy it, so the body is evaluated on
-  that one candidate;
 - the order transport, in fast mode, for an order-bounded set quantifier
   over a fully bounded body: its `interp.translate_a` image is evaluated
   on the codes;
 - the order chain, outside fast mode, for an order-bounded set
   existential chain over order-arithmetic terms: the chain solver runs on
-  the codes, and its witness is re-checked with the set operations.
+  the codes, and its witness is re-checked with the set operations (a
+  witness the set operations reject raises RouteDisagreement).
 
 Loop-invariant terms (code motion with Michie's memo functions, 1968).
 In the body of each binder (quantifier or separation term), every
@@ -107,7 +114,7 @@ from .core import (
     sumset,
     tower,
 )
-from .errors import BudgetExceeded, NotAnOrdinal
+from .errors import BudgetExceeded, NotAnOrdinal, RouteDisagreement
 from .formulas import (
     ALit,
     AAnd,
@@ -537,7 +544,8 @@ _ORD_GRAPHS = {"ordadd": ord_add, "ordmul": ord_mul, "ordexp": ord_exp}
 
 def _ordinal(op: str, x: HFSet, y: HFSet, ctx) -> HFSet:
     """The operation whose graph is `op`, on x and y, within the enumeration
-    budget: read by vadd/vmul/vexp, the graph atoms and the graph witness."""
+    budget: read by vadd/vmul/vexp, the graph atoms and the pinned
+    candidate domain (`_pinned`)."""
     return _ORD_GRAPHS[op](x, y, ctx.enum_budget)
 
 
@@ -704,25 +712,29 @@ def _quantifier(q, bound, body, walk: bool):
     not q, so that the node and its closure form no reference cycle."""
     univ = type(q) is AForall or type(q) is SForall
     var = q.var
+    arith = isinstance(q, ArithFormula)
+    order_bounded = not arith and bound is not None and \
+        q.bound_kind == BOUND_ORDER
+    pins = () if arith or univ or bound is not None else _pins(var, q.body)
+    # the domain: member walk, pinned candidate or range
     if walk:
-        return _quantify(univ, var, lambda env, ctx: _bit_positions(
-            bound(env, ctx)), body, ())
-    if isinstance(q, ArithFormula):
-        chain = () if univ or bound is None else (
-            (None, partial(_chain_plan, var, q.bound, q.body)),)
-        return _quantify(univ, var, partial(_arith_range, bound), body, chain)
-    order_bounded = bound is not None and q.bound_kind == BOUND_ORDER
+        domain = lambda env, ctx: _bit_positions(bound(env, ctx))
+    elif pins:
+        domain = partial(_pinned, pins)
+    elif arith:
+        domain = partial(_arith_range, bound)
+    else:
+        domain = partial(_set_range, bound, order_bounded)
     deciders = []
-    if bound is None and not univ:
-        deciders.append((None, partial(_graph_witness, var, q.body, body)))
+    if arith and not (walk or univ or bound is None):
+        deciders.append((None, partial(_chain_plan, var, q.bound, q.body)))
     if order_bounded:
         # q again, rebuilt for the plans made on first use
         same = partial(type(q), var, q.bound, q.body, q.bound_kind)
         deciders.append((True, lambda: _transport(same())))
         if not univ:
             deciders.append((False, lambda: _order_chain(same())))
-    return _quantify(univ, var, partial(_set_range, bound, order_bounded),
-                     body, deciders)
+    return _quantify(univ, var, domain, body, deciders)
 
 
 def _bit_guarded(q) -> "ArithFormula | None":
@@ -760,6 +772,47 @@ def _set_range(bound, order_bounded: bool, env, ctx):
         raise BudgetExceeded(
             f"order segment of length {n} exceeds the enumeration budget")
     return map(decode, range(n))
+
+
+def _pins(var: str, f: SetFormula) -> tuple:
+    """(op, a, b), compiled, for each conjunct `op(a, b, var)` of f that
+    pins var: an ordinal graph atom whose a and b do not mention var.  It
+    may sit underneath further unbounded existentials (the shape term
+    flattening builds), as long as a and b do not mention their
+    variables."""
+    shadowed: "set[str]" = set()
+    while isinstance(f, SExists) and f.bound is None and f.var != var:
+        shadowed.add(f.var)
+        f = f.body
+    todo, pins = [f], []
+    while todo:  # the conjuncts, in reading order
+        c = todo.pop()
+        if isinstance(c, SAnd):
+            todo += c.right, c.left
+        elif isinstance(c, SRel) and c.op in _ORD_GRAPHS and \
+                c.args[2] == SVar(var):
+            argvars = free_vars(c.args[0]) | free_vars(c.args[1])
+            if var not in argvars and not argvars & shadowed:
+                pins.append((c.op, _compile(c.args[0]), _compile(c.args[1])))
+    return tuple(pins)
+
+
+def _pinned(pins: tuple, env, ctx):
+    """The domain of an unbounded existential with pinning conjuncts: the
+    one candidate the first pin in scope leaves, as no other value can
+    satisfy it, or none when that pin's arguments are not ordinals; the
+    cutoff range when no pin's arguments are in scope yet."""
+    for op, a, b in pins:
+        try:
+            x = a(env, ctx)
+            y = b(env, ctx)
+        except ValueError:
+            continue  # refers to a variable not in scope yet
+        try:
+            return (_ordinal(op, x, y, ctx),)
+        except NotAnOrdinal:
+            return ()
+    return _set_range(None, False, env, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -940,64 +993,8 @@ def _chain_plan(var: str, bound: ArithTerm, atom: ArithFormula):
 
 
 # ---------------------------------------------------------------------------
-# the deciders of set quantifiers: graph witness, order transport and
-# order chain
+# the deciders of set quantifiers: order transport and order chain
 # ---------------------------------------------------------------------------
-
-def _conjuncts(f: SetFormula):
-    while isinstance(f, SAnd):
-        yield from _conjuncts(f.left)
-        f = f.right
-    yield f
-
-
-def _graph_witness(var: str, f: SetFormula, body):
-    """The graph-witness decider of `exists var. f`, whose body compiles
-    to `body`; None when no conjunct pins var.
-
-    A conjunct `ordop(a, b, var)` pins var when a and b do not mention
-    it.  It may sit underneath further unbounded existentials (the shape
-    term flattening builds), as long as it does not mention their
-    variables."""
-    shadowed: "set[str]" = set()
-    while isinstance(f, SExists) and f.bound is None and f.var != var:
-        shadowed.add(f.var)
-        f = f.body
-    pins = []
-    for c in _conjuncts(f):
-        if not (isinstance(c, SRel) and c.op in _ORD_GRAPHS
-                and c.args[2] == SVar(var)):
-            continue
-        argvars = free_vars(c.args[0]) | free_vars(c.args[1])
-        if var in argvars or argvars & shadowed:
-            continue
-        pins.append((c.op, _compile(c.args[0]), _compile(c.args[1])))
-    return partial(_pinned, tuple(pins), var, body) if pins else None
-
-
-def _pinned(pins: tuple, var: str, body, env, ctx) -> "bool | None":
-    """Read the witness off the operation graph: no other value can
-    satisfy a pinning conjunct.
-
-    Ordinal codes grow as towers, so enumeration cannot reach these
-    witnesses; the extracted candidate is still checked by honestly
-    evaluating the whole body.  False when the graph atom is
-    unsatisfiable, None when no pin's arguments are in scope yet."""
-    for op, a, b in pins:
-        try:
-            x = a(env, ctx)
-            y = b(env, ctx)
-        except ValueError:
-            continue  # refers to a variable not in scope yet
-        try:
-            witness = _ordinal(op, x, y, ctx)
-        except NotAnOrdinal:
-            return False
-        inner = dict(env)
-        inner[var] = witness
-        return body(inner, ctx)
-    return None
-
 
 def _transport(f: SetFormula):
     """The order-transport decider of f: the code-side counterpart of f,
@@ -1078,7 +1075,7 @@ def _solve_order_chain(solve, names: "tuple[str, ...]",
     for v in names:
         inner[v] = decode(witness[v], ctx.code_budget)
     if not check(inner, ctx):
-        raise AssertionError(
+        raise RouteDisagreement(
             "order-chain transport and set evaluation disagree on "
             f"{matrix!r} at {sorted((v, witness[v]) for v in names)}")
     return True

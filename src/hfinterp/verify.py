@@ -45,6 +45,7 @@ from .errors import (
     CorpusUnreadable,
     LanguageMismatch,
     NotAnOrdinal,
+    RouteDisagreement,
     UsageError,
 )
 from .evaluate import EvalContext, eval_arith, eval_set
@@ -60,6 +61,10 @@ from .formulas import (
 from .parser import parse_arith, parse_set
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget"
+
+#: what ends a case early -> (the suffix of the kind it records, verdict)
+_RAISES = {BudgetExceeded: ("-budget", BUDGET),
+           RouteDisagreement: ("-disagreement", FAIL)}
 
 DEFAULT_SEPARATION_CORPUS = "separation.txt"
 DEFAULT_OPEI_CORPUS = "opei.txt"
@@ -189,7 +194,8 @@ def _case(report: Report, ctx: EvalContext, case_id: str, kind: str,
           points, note="", local: "dict | None" = None, **params) -> None:
     """Check `kind` under `params` at each point of ``points()`` (a fresh
     iterable of coordinate tuples per call) and append the verdict; a
-    point that raises `BudgetExceeded` ends the case as ``<kind>-budget``.
+    point that raises `BudgetExceeded` ends the case as ``<kind>-budget``,
+    and one that raises `RouteDisagreement` as ``<kind>-disagreement``.
     `note` is a string or a function of the number of points checked;
     `local` holds unrecorded checker arguments (decoded `sets`, or a list
     `notes` to which the checker appends what it saw)."""
@@ -202,9 +208,9 @@ def _case(report: Report, ctx: EvalContext, case_id: str, kind: str,
             if observed is not None:
                 verdict = FAIL
                 break
-    except BudgetExceeded as e:
-        verdict, count = BUDGET, count + 1
-        observed = {"kind": f"{kind}-budget", "error": str(e)}
+    except tuple(_RAISES) as e:
+        (suffix, verdict), count = _RAISES[type(e)], count + 1
+        observed = {"kind": kind + suffix, "error": str(e)}
     cex = None
     if verdict != PASS:
         # the loop keeps no point, so the failing one is found again
@@ -807,12 +813,15 @@ def replay(counterexample: "dict | None",
            ctx: "EvalContext | None" = None) -> bool:
     """Re-check a reported counterexample from its serialized form alone,
     under its recorded context, else `ctx`, else the default; True when
-    the same failure (for a ``*-budget`` kind, the same refusal) recurs."""
+    the same failure (for a ``*-budget`` or ``*-disagreement`` kind, the
+    same raise) recurs."""
     if not counterexample:
         return False
     c = counterexample
     kind = c["kind"]
-    base = kind.removesuffix("-budget")
+    base = kind
+    for suffix, _ in _RAISES.values():
+        base = base.removesuffix(suffix)
     if base not in _KINDS:
         raise ValueError(f"cannot replay counterexample of kind {kind!r}")
     make, params, point = _KINDS[base]
@@ -820,8 +829,8 @@ def replay(counterexample: "dict | None",
     check = make(ctx or EvalContext(), **{p: c[p] for p in params if p in c})
     try:
         observed = check(*[c[p] for p in point])
-    except BudgetExceeded as e:
-        return kind != base and c.get("error") == str(e)
+    except tuple(_RAISES) as e:
+        return kind == base + _RAISES[type(e)][0] and c.get("error") == str(e)
     return kind == base and observed is not None \
         and all(c.get(k) == v for k, v in observed.items())
 

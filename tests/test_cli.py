@@ -164,12 +164,25 @@ ELEVEN = "vns(" * 11 + "0e" + ")" * 11
 ])
 def test_ordinal_operations_past_the_enum_budget(capsys, formula):
     # 2^11, 11 + 11 and 11 * 11 all pass a budget of 10, on the operations,
-    # on their graph atoms and on the graph witness alike
+    # on their graph atoms and on the pinned candidate domain alike
     rc, out, err = run(capsys, "eval", "--set", formula,
                        "-b", "x=vns(vns(0e))", "-b", f"y={ELEVEN}",
                        "-b", "z=0e", "--enum-budget", "10")
     assert (rc, out) == (2, "")
     assert "budget" in err
+
+
+#: the o-image of S(S(0)) + S(S(0)) = S(S(S(S(0)))): the ordinal 4 that
+#: pins t0 has code 2059, past the cutoff of 256
+TWO_PLUS_TWO_O = ("exists t0. ordadd(vns(vns(0e)), vns(vns(0e)), t0) & "
+                  "t0 = vns(vns(vns(vns(0e))))")
+
+
+@pytest.mark.parametrize("solver", [(), ("--no-solver",)],
+                         ids=["solver", "no-solver"])
+def test_pinned_candidate_gives_one_verdict_on_both_routes(capsys, solver):
+    rc, out, _ = run(capsys, "eval", "--set", TWO_PLUS_TWO_O, *solver)
+    assert (rc, out) == (0, "true at cutoff 256\n")
 
 
 @pytest.mark.parametrize("argv", [

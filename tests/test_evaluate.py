@@ -445,21 +445,24 @@ def test_graph_atoms_without_quantifiers():
                         {**env, "x": decode(2)}, CTX)
 
 
-def test_pinned_witness_is_still_checked_against_the_body():
+@pytest.mark.parametrize("solver", [True, False], ids=["solver", "walk"])
+def test_pinned_witness_is_still_checked_against_the_body(solver):
     # the only candidate for t is x + y = 5; the body then rejects it
+    ctx = replace(CTX, solver=solver)
     f = parse_set("exists t. ordadd(x, y, t) & t = 0e")
     env = {"x": vn_ordinal(2), "y": vn_ordinal(3)}
-    assert not eval_set(f, env, CTX)
+    assert not eval_set(f, env, ctx)
     g = parse_set("exists t. ordadd(x, y, t) & isord(t)")
-    assert eval_set(g, env, CTX)
+    assert eval_set(g, env, ctx)
 
 
-def test_witness_extraction_reaches_tower_sized_ordinals():
+@pytest.mark.parametrize("solver", [True, False], ids=["solver", "walk"])
+def test_witness_extraction_reaches_tower_sized_ordinals(solver):
     # ordinal 7 has a code of astronomically many bits; enumeration can
-    # never find it, the graph read-off must
+    # never find it, the pinned candidate domain holds it alone
     f = parse_set("exists t. ordadd(x, y, t) & ordadd(y, x, t)")
     env = {"x": vn_ordinal(3), "y": vn_ordinal(4)}
-    assert eval_set(f, env, CTX)
+    assert eval_set(f, env, replace(CTX, solver=solver))
 
 
 def test_unbounded_set_quantifier_truncates_at_cutoff():

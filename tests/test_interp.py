@@ -13,6 +13,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfinterp import evaluate
 from hfinterp.core import decode, encode, vn_ordinal
@@ -341,8 +343,9 @@ def test_c_bounded_quantifier_keeps_cardinality_guard():
 # o: numbers as von Neumann ordinals
 # ---------------------------------------------------------------------------
 
-def test_o_laws_hold_under_ordinal_reading():
-    ctx = EvalContext()
+@pytest.mark.parametrize("solver", [True, False], ids=["solver", "walk"])
+def test_o_laws_hold_under_ordinal_reading(solver):
+    ctx = EvalContext(solver=solver)
     laws = [
         "forall x < 4. forall y < 4. (x + y) + 1 = x + (y + 1)",
         "forall x < 3. forall y < 3. forall z < 3. (x + y) + z = x + (y + z)",
@@ -365,33 +368,41 @@ def test_o_laws_hold_under_ordinal_reading():
         assert not eval_set(translate_o(parse_arith(src)), {}, ctx), src
 
 
+def random_core_term(rng, depth):
+    """A term of S, +, * and exp over x, y and literals below 3: the
+    terms map o translates."""
+    if depth <= 0 or rng.random() < 0.5:
+        return rng.choice([AVar(rng.choice("xy")),
+                           ALit(rng.randrange(3))])
+    op = rng.choice(["S", "+", "*", "exp"])
+    n = 1 if op == "S" else 2
+    return AOp(op, tuple(random_core_term(rng, depth - 1) for _ in range(n)))
+
+
+def random_core_formula(rng, depth, unbounded=0.0):
+    """An atom over core terms, or a quantifier over one, bounded by a
+    literal below 5 or, with probability `unbounded`, by nothing."""
+    if depth <= 0:
+        return ARel(rng.choice(["=", "<"]),
+                    (random_core_term(rng, 1), random_core_term(rng, 1)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        node = rng.choice([AForall, AExists])
+        var = rng.choice("xy")
+        bound = None if unbounded and rng.random() < unbounded \
+            else ALit(rng.randrange(1, 5))
+        return node(var, bound, random_core_formula(rng, depth - 1, unbounded))
+    return ARel(rng.choice(["=", "<"]),
+                (random_core_term(rng, depth), random_core_term(rng, depth)))
+
+
 def test_o_agreement_bounded_fragment():
     rng = random.Random(17)
     ctx = EvalContext()
 
-    def core_term(depth):
-        if depth <= 0 or rng.random() < 0.5:
-            return rng.choice([AVar(rng.choice("xy")),
-                               ALit(rng.randrange(3))])
-        op = rng.choice(["S", "+", "*", "exp"])
-        n = 1 if op == "S" else 2
-        return AOp(op, tuple(core_term(depth - 1) for _ in range(n)))
-
-    def bounded_formula(depth):
-        if depth <= 0:
-            return ARel(rng.choice(["=", "<"]),
-                        (core_term(1), core_term(1)))
-        kind = rng.randrange(4)
-        if kind == 0:
-            node = rng.choice([AForall, AExists])
-            return node(rng.choice("xy"), ALit(rng.randrange(1, 5)),
-                        bounded_formula(depth - 1))
-        return ARel(rng.choice(["=", "<"]),
-                    (core_term(depth), core_term(depth)))
-
     hits = 0
     for _ in range(150):
-        f = bounded_formula(rng.randrange(3))
+        f = random_core_formula(rng, rng.randrange(3))
         nums = {v: rng.randrange(4) for v in "xy"}
         env = {v: vn_ordinal(n) for v, n in nums.items()}
         try:
@@ -402,6 +413,32 @@ def test_o_agreement_bounded_fragment():
         assert got == want, (show_arith(f), nums)
         hits += 1
     assert hits >= 120
+
+
+def _verdict(f, env, ctx):
+    """eval_set's verdict, or the class of what it raised."""
+    try:
+        return eval_set(f, env, ctx)
+    except Exception as e:
+        return type(e)
+
+
+#: the ordinals 0 to 3 and the sets coded below 8, ordinals or not
+SMALL_SETS = st.one_of(st.integers(0, 3).map(vn_ordinal),
+                       st.integers(0, 7).map(decode))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(0, 2), SMALL_SETS,
+       SMALL_SETS)
+def test_o_images_give_one_verdict_with_and_without_the_solver(rng, depth,
+                                                               x, y):
+    g = translate_o(random_core_formula(rng, depth, unbounded=0.3))
+    env = {"x": x, "y": y}
+    on, off = (_verdict(g, env, EvalContext(nat_cutoff=8, set_cutoff=8,
+                                            solver=solver))
+               for solver in (True, False))
+    assert on == off, show_set(g)
 
 
 def test_o_non_ordinal_binding_falsifies_graph():

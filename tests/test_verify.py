@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from hfinterp import cardinal, cli, core, verify
+from hfinterp import cardinal, cli, core, evaluate, verify
 from hfinterp.errors import LanguageMismatch, NotAnOrdinal
 from hfinterp.evaluate import FAST, EvalContext
 from hfinterp.formulas import free_vars
@@ -387,6 +387,17 @@ def _not_an_ordinal(*args):
 
 
 _CANONICAL_BIT = membership_bit_formula
+_SOLVE_ORDER_CHAIN = evaluate._solve_order_chain
+
+
+def _order_chain_off_by_one(solve, names, *rest):
+    """The order chain with its code-side witness moved one past the
+    solver's, so that the set operations reject it."""
+    def shifted(env, ctx):
+        witness = solve(env, ctx)
+        return witness and {**witness, names[0]: witness[names[0]] + 1}
+    return _SOLVE_ORDER_CHAIN(shifted, names, *rest)
+
 
 # scenario -> (patches, the run, the kinds it must report): each patch
 # corrupts one primitive a checker reads; the unpatched runs fail by
@@ -431,6 +442,9 @@ FORCED = {
         [(verify, "mem", lambda x, y: True)], _theorem6_small, {"theorem6"}),
     "theorem6-mutation": (
         [], lambda: _theorem6_small(mutation="successor"), {"theorem6"}),
+    "theorem6-disagreement": (
+        [(evaluate, "_solve_order_chain", _order_chain_off_by_one)],
+        _theorem6_small, {"theorem6-disagreement"}),
     "theorem6-budget": (
         [], lambda: _theorem6_small(
             EvalContext(nat_cutoff=32, set_cutoff=32, code_budget=4)),
@@ -503,8 +517,25 @@ def test_forced_failure_replays_from_its_serialized_dict(monkeypatch,
 
 def test_the_forced_kinds_are_the_checker_table():
     forced = set().union(*(kinds for _, _, kinds in FORCED.values()))
-    assert {k for k in forced if not k.endswith("-budget")} \
+    assert {k for k in forced
+            if not k.endswith(("-budget", "-disagreement"))} \
         == set(verify._KINDS)
+
+
+def test_route_disagreement_is_a_failing_verdict(monkeypatch, capsys):
+    # the order chain's witness is rejected by the set operations: a fail
+    # with a replayable counterexample, not an internal error (exit 70)
+    monkeypatch.setattr(evaluate, "_solve_order_chain",
+                        _order_chain_off_by_one)
+    rc = cli.main(["verify", "theorem6", "--max-code", "64",
+                   "--format", "json", "--no-timestamp"])
+    assert rc == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    failed = [c for c in report["cases"] if c["verdict"] == FAIL]
+    assert failed
+    for c in failed:
+        assert c["counterexample"]["kind"] == "theorem6-disagreement"
+        assert replay(c["counterexample"]) is True
 
 
 def test_ordinal_control_replays_under_its_recorded_context():
