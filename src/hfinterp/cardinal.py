@@ -135,12 +135,11 @@ def card_exp(x: HFSet, y: HFSet,
     nx, ny = len(x.children), len(y.children)
     if nx and ny and nx ** ny > cap:
         raise BudgetExceeded("function space exceeds the enumeration budget")
-    dom = y.children
-    graphs = [
-        from_children(kpair(b, v) for b, v in zip(dom, choice))
-        for choice in itertools.product(x.children, repeat=ny)
-    ]
-    return from_children(graphs)
+    # rows[i] holds the pairs (b_i, v) for every v in x, each built once;
+    # a graph picks one pair from every row
+    rows = [[kpair(b, v) for v in x.children] for b in y.children]
+    return from_children([from_children(graph)
+                          for graph in itertools.product(*rows)])
 
 
 def count_functions(x: HFSet, y: HFSet,

@@ -10,7 +10,9 @@ perfectly small DAG whose code would need astronomically many bits).
 
 from __future__ import annotations
 
+import gc
 import weakref
+from _weakref import _remove_dead_weakref
 from functools import cmp_to_key
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
@@ -74,12 +76,34 @@ class HFSet:
         return format_set(self)
 
 
-_INTERN: "weakref.WeakValueDictionary[tuple, HFSet]" = weakref.WeakValueDictionary()
-_DECODE: "weakref.WeakValueDictionary[int, HFSet]" = weakref.WeakValueDictionary()
-# the tables' own dicts of weak refs, read directly on the bulk paths (a
-# dead ref reads None, like a miss); every write goes through the tables
-_INTERN_REFS = _INTERN.data
-_DECODE_REFS = _DECODE.data
+class _Ref(weakref.ref):
+    """A weak reference to a set that carries its table key, so that the
+    table's callback can drop the entry when the set dies."""
+
+    __slots__ = ("key",)
+
+
+def _weak_table() -> "tuple[dict, Callable[[_Ref], None]]":
+    """A dict of `_Ref`s and the callback that removes a dead one.
+
+    `_remove_dead_weakref` deletes the entry only if it still holds a dead
+    ref, so a key rebound to a live set meanwhile is kept.  Both it and the
+    table are bound as defaults, as `WeakValueDictionary` does, so a
+    callback during interpreter shutdown never reads a cleared global.
+    """
+    table: dict = {}
+
+    def drop(ref: _Ref, table=table, remove=_remove_dead_weakref) -> None:
+        remove(table, ref.key)
+
+    return table, drop
+
+
+# key -> _Ref of the interned set: sorted member tuple for _INTERN, code
+# for _DECODE.  Weak, so a set lives only as long as something outside the
+# tables holds it; a dead ref reads None, like a miss.
+_INTERN, _INTERN_DROP = _weak_table()
+_DECODE, _DECODE_DROP = _weak_table()
 
 
 def _code_of_sorted(children: "tuple[HFSet, ...]") -> "int | None":
@@ -103,14 +127,15 @@ def _code_of_sorted(children: "tuple[HFSet, ...]") -> "int | None":
 
 def _intern_sorted(children: "tuple[HFSet, ...]") -> HFSet:
     """Intern a node whose children are already sorted and duplicate-free."""
-    ref = _INTERN_REFS.get(children)
+    ref = _INTERN.get(children)
     node = None if ref is None else ref()
     if node is None:
         # max() over all children: rank order and code order provably
         # coincide, but rank must not silently assume that here.
         rank = max(map(attrgetter("rank"), children)) + 1 if children else 0
-        node = _INTERN[children] = HFSet(children, rank,
-                                         _code_of_sorted(children))
+        node = HFSet(children, rank, _code_of_sorted(children))
+        ref = _INTERN[children] = _Ref(node, _INTERN_DROP)
+        ref.key = children
     return node
 
 
@@ -122,14 +147,15 @@ def _extend(t: HFSet, c: HFSet) -> HFSet:
     either is None or c's bit lies past the default bit budget.
     """
     children = t.children + (c,)
-    ref = _INTERN_REFS.get(children)
+    ref = _INTERN.get(children)
     node = None if ref is None else ref()
     if node is None:
         tc, cc = t._code, c._code
         code = None if tc is None or cc is None or cc >= DEFAULT_BIT_BUDGET \
             else tc | 1 << cc
-        node = _INTERN[children] = HFSet(children, max(t.rank, c.rank + 1),
-                                         code)
+        node = HFSet(children, max(t.rank, c.rank + 1), code)
+        ref = _INTERN[children] = _Ref(node, _INTERN_DROP)
+        ref.key = children
     return node
 
 
@@ -212,18 +238,19 @@ def decode(n: int, budget: "int | None" = None) -> HFSet:
     if n.bit_length() > budget:
         raise BudgetExceeded(
             f"code needs {n.bit_length()} bits, budget is {budget}")
-    ref = _DECODE_REFS.get(n)
+    ref = _DECODE.get(n)
     node = None if ref is None else ref()
     if node is None:
         bits = _bit_positions(n)
-        get = _DECODE_REFS.get
+        get = _DECODE.get
         kids = [None if (r := get(i)) is None else r() for i in bits]
         children = tuple([decode(i, budget) if c is None else c
                           for i, c in zip(bits, kids)])
         # bit order is code order: presorted; the code is still worked
         # out from the members, never taken from n
         node = _intern_sorted(children)
-        _DECODE[n] = node
+        ref = _DECODE[n] = _Ref(node, _DECODE_DROP)
+        ref.key = n
     return node
 
 
@@ -264,11 +291,13 @@ def powerset(x: HFSet, enum_budget: "int | None" = None) -> HFSet:
         raise BudgetExceeded(f"powerset would enumerate 2^{k} subsets")
     # doubling keeps mask order: subs[mask] holds x's member i for each
     # bit i of mask, and each member is adjoined after all smaller ones,
-    # so every subset is interned straight from the subset one bit lower
+    # so every subset is interned straight from the subset one bit lower.
+    # Mask order over code-sorted members is code order, and distinct
+    # masks give distinct subsets, so subs is already the member tuple.
     subs = [_EMPTY]
     for c in x.children:
         subs += [_extend(t, c) for t in subs]
-    return from_children(subs)
+    return _intern_sorted(tuple(subs))
 
 
 def adjoin(x: HFSet, z: HFSet) -> HFSet:
@@ -308,10 +337,18 @@ def materialize_level(m: int, enum_budget: "int | None" = None) -> HFSet:
     if size > cap:
         raise BudgetExceeded(f"level {m} has {size} members, budget is {cap}")
     if m not in _LEVELS:
-        v = _EMPTY
-        for _ in range(m):
-            v = powerset(v, enum_budget)
-        _LEVELS[m] = v
+        # sets form an immutable DAG and cannot make reference cycles, so
+        # the cyclic collector's passes over a growing level find nothing
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            v = _EMPTY
+            for _ in range(m):
+                v = powerset(v, enum_budget)
+            _LEVELS[m] = v
+        finally:
+            if was_enabled:
+                gc.enable()
     return _LEVELS[m]
 
 

@@ -72,17 +72,15 @@ def ack_order(m: int) -> LinearOrder:
     """The ordering of level V_m's members, built literally.
 
     Stage m+1 sorts all subsets of stage m's carrier with the
-    lexicographic rule over stage m, used as a key: a subset's positions
-    in stage m, in descending order, as bytes.  Comparing two such
-    sequences finds the greatest element on which the subsets disagree,
-    and a prefix (the subset lacking it) sorts first, which is exactly
+    lexicographic rule over stage m, used as a key: the numeral of a
+    subset, the sum of 1 << p over the positions p of its members in
+    stage m.  Two such sums compare by the greatest position on which
+    they differ, and the subset holding it sorts last, which is exactly
     `lex_less`, the comparator the tests check this order against.  No
-    code enters the key.  Every position fits a byte: stage 4, the
-    largest carrier a materialized level is sorted over, has 16 members,
-    and `bytes()` raises rather than wrap should `MAX_MATERIALIZED_LEVEL`
-    ever pass 5.  The input enumeration is shuffled (fixed seed) before
-    sorting so the construction order cannot leak into the result; only
-    the key determines it.
+    code enters the key, and a sum of Python ints has no width limit.
+    The input enumeration is shuffled (fixed seed) before sorting so the
+    construction order cannot leak into the result; only the key
+    determines it.
     """
     if m < 0:
         raise ValueError("levels are indexed by naturals")
@@ -92,11 +90,11 @@ def ack_order(m: int) -> LinearOrder:
     for k in range(1, m + 1):
         if k in _ACK_ORDERS:
             continue
-        index = _ACK_ORDERS[k - 1].index
+        weight = {x: 1 << p
+                  for p, x in enumerate(_ACK_ORDERS[k - 1].items)}.__getitem__
         subsets = list(materialize_level(k).children)
         random.Random(0xACC0 + k).shuffle(subsets)
-        subsets.sort(key=lambda s: bytes(sorted(
-            map(index.__getitem__, s.children), reverse=True)))
+        subsets.sort(key=lambda s: sum(map(weight, s.children)))
         _ACK_ORDERS[k] = LinearOrder(tuple(subsets))
     return _ACK_ORDERS[m]
 

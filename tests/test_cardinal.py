@@ -179,6 +179,21 @@ def test_card_exp_size_law_small():
         assert cardinal.count_functions(x, y) == cardinal.card(space)
 
 
+def _per_graph_card_exp(x: core.HFSet, y: core.HFSet) -> core.HFSet:
+    """card_exp with every graph building its own Kuratowski pairs."""
+    return core.from_children(
+        core.from_children(cardinal.kpair(b, v)
+                           for b, v in zip(y.children, choice))
+        for choice in itertools.product(x.children, repeat=len(y.children)))
+
+
+def test_card_exp_is_the_per_graph_construction():
+    for nx in range(64):
+        for ny in range(16):
+            x, y = core.decode(nx), core.decode(ny)
+            assert cardinal.card_exp(x, y) is _per_graph_card_exp(x, y)
+
+
 def test_card_exp_budget():
     v4 = core.materialize_level(4)
     with pytest.raises(BudgetExceeded):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +137,29 @@ def test_powerset_matches_mask_enumeration(seed):
     masks = {core.from_children(cs[i] for i in range(k) if (mask >> i) & 1)
              for mask in range(1 << k)}
     assert set(core.powerset(x).children) == masks
+
+
+def _wide(k: int) -> core.HFSet:
+    """A set whose code is past the bit budget: its member is coded
+    2^20 + k."""
+    return core.from_children([core.decode((1 << 20) + k)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_powerset_doubling_list_is_the_sorted_subsets(seed):
+    # powerset interns its mask-ordered list as it stands, so that list
+    # must already be the canonical (sorted, duplicate-free) member tuple,
+    # also when members have no code and sort by structure
+    rng = random.Random(seed)
+    pool = [core.decode(c) for c in rng.sample(range(5000), 6)]
+    pool += [_wide(k) for k in range(3)]
+    pool.append(core.from_children([_wide(0), core.decode(3)]))
+    x = core.from_children(rng.sample(pool, rng.randint(0, 8)))
+    cs, k = x.children, len(x.children)
+    subs = [core.from_children(cs[i] for i in range(k) if (mask >> i) & 1)
+            for mask in range(1 << k)]
+    rng.shuffle(subs)
+    assert core.powerset(x) is core.from_children(subs)
 
 
 def test_adjoin():
@@ -293,6 +320,72 @@ def test_powerset_past_the_bit_budget_keeps_codes_unmaterialized():
     subs = core.powerset(core.from_children([core.empty(), wide])).children
     assert [s._code for s in subs] == [0, 1, None, None]
     assert [s.rank for s in subs] == [0, 1, 7, 7]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_materialize_level_restores_the_collector_state(monkeypatch, enabled):
+    want = core.materialize_level(3)
+    monkeypatch.setattr(core, "_LEVELS", {})  # so the levels are rebuilt
+    real_powerset = core.powerset
+    paused = []
+
+    def spy(x, enum_budget=None):
+        paused.append(not gc.isenabled())
+        return real_powerset(x, enum_budget)
+
+    def refuse(x, enum_budget=None):
+        raise BudgetExceeded("refused")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(core, "powerset", spy)
+        assert core.materialize_level(3) is want
+        assert paused == [True] * 3
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(core, "powerset", refuse)
+        with pytest.raises(BudgetExceeded):
+            core.materialize_level(4)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_interning_is_weak():
+    n = (1 << 300) | (1 << 299) | 5  # coded by no level, made by no test
+    x = core.decode(n)
+    key = x.children
+    assert core._INTERN[key]() is x and core._DECODE[n]() is x
+    del x
+    gc.collect()
+    assert key not in core._INTERN and n not in core._DECODE
+
+
+# a module still referenced once the interpreter has dropped sys.modules
+# (as a test runner's state can hold one) is cleared name by name at exit,
+# underscore names first: the tables' callbacks then run while the levels
+# in _LEVELS die, after core's other private globals have become None
+_INTERN_AT_EXIT = """
+import sys
+from hfinterp import cardinal, core, order
+sys.pinned = core
+kept = [core.decode(n) for n in (7, 1 << 70, (1 << 300) | 5)]
+space = cardinal.card_exp(core.decode(11), core.decode(5))
+levels = order.ack_order(4)
+for n in range(2000):
+    core.decode(n * 7919)
+core.powerset(core.decode((1 << 40) | 6))
+"""
+
+
+def test_interning_is_quiet_at_interpreter_exit():
+    p = subprocess.run([sys.executable, "-c", _INTERN_AT_EXIT],
+                       capture_output=True, text=True, timeout=120,
+                       env=dict(os.environ,
+                                PYTHONPATH=os.path.dirname(
+                                    os.path.dirname(core.__file__))))
+    assert p.returncode == 0
+    assert p.stderr == ""
 
 
 @pytest.mark.parametrize("bits,seed", [(20000, 0), (20000, 1),

@@ -143,9 +143,7 @@ def test_function_level_imports_only_at_the_cli_edge(path):
 GROWING = {
     # weak: an entry dies with its set
     ("core", "_INTERN"),
-    ("core", "_INTERN_REFS"),  # _INTERN's dict of weak refs
     ("core", "_DECODE"),
-    ("core", "_DECODE_REFS"),  # _DECODE's dict of weak refs
     # <= 6 each, V_0..V_5 and their orderings: V_6 has 2^65536 members
     ("core", "_LEVELS"),
     ("order", "_ACK_ORDERS"),
