@@ -3,9 +3,14 @@
 Every set is an interned node of an immutable DAG, so extensional equality
 is object identity and equality tests are O(1).  The code of a set is the
 natural number whose binary expansion has bit(code(c)) set for each member
-c; it is memoized on the node whenever it fits the default bit budget and
-left unmaterialized otherwise (a set of Kuratowski function graphs is a
-perfectly small DAG whose code would need astronomically many bits).
+c.  A node holds its code only when the code is narrow, at most 4096 bits
+(every member's code is below 4096): `HFSet._code is None` exactly when
+the code is wider.  `encode` works a wide code out from the members each
+time it is asked, up to the default bit budget, and keeps nothing, so a
+node's code never changes after construction, and Kuratowski pairs and
+function graphs that nothing encodes never build kilobyte-wide integers
+(a set of such graphs is a perfectly small DAG whose code would need
+astronomically many bits).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import gc
 import weakref
 from _weakref import _remove_dead_weakref
+from bisect import bisect_left
 from functools import cmp_to_key
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
@@ -21,6 +27,11 @@ from .errors import BudgetExceeded, FormulaSyntaxError, NotAnOrdinal
 
 DEFAULT_BIT_BUDGET = 1 << 20
 DEFAULT_ENUM_BUDGET = 1 << 20
+#: codes of at most this many bits are kept on their nodes.  A set with no
+#: code then has a code of 2^4096 or more, past the default bit budget, so
+#: every member of a set that `encode` answers for holds its code.
+_NARROW_BITS = 4096
+assert DEFAULT_BIT_BUDGET <= 1 << _NARROW_BITS
 
 #: the two routes of the order arithmetic (see `arith`)
 FAST = "fast"
@@ -35,9 +46,12 @@ _BYTE_BITS = tuple(
 class HFSet:
     """One canonical hereditarily finite set.
 
-    `children` holds the members sorted ascending by code.  Instances are
-    only created through the interning constructor below; client code uses
-    `empty()`, `from_children()`, `decode()` and the algebraic operations.
+    `children` holds the members sorted ascending by code.  `_code` is
+    the code when it has at most 4096 bits and None when it is wider; it
+    is set at construction from the members and never changes, and only
+    this module reads it.  Instances are only created through the
+    interning constructor below; client code uses `empty()`,
+    `from_children()`, `decode()` and the algebraic operations.
     """
 
     __slots__ = ("children", "rank", "_code", "_members", "__weakref__")
@@ -107,19 +121,28 @@ _DECODE, _DECODE_DROP = _weak_table()
 
 
 def _code_of_sorted(children: "tuple[HFSet, ...]") -> "int | None":
-    """Code of a set with the given (sorted) members, or None if too wide."""
+    """Code of a set with the given (sorted) members when it is narrow,
+    else None."""
     if not children:
         return 0
     top = children[-1]._code
-    if top is None or top >= DEFAULT_BIT_BUDGET:
+    if top is None or top >= _NARROW_BITS:
         return None
-    if top < 4096:
-        n = 0
-        for c in children:
-            n |= 1 << c._code  # type: ignore[operator]
-        return n
-    buf = bytearray(top // 8 + 1)
+    n = 0
     for c in children:
+        n |= 1 << c._code  # type: ignore[operator]
+    return n
+
+
+def _wide_code(x: HFSet) -> int:
+    """The code of x, which stores none, built from its members' codes.
+
+    `encode` calls it only when x's top member has a code below the
+    default bit budget, so every member's code is stored.
+    """
+    cs = x.children
+    buf = bytearray(cs[-1]._code // 8 + 1)  # type: ignore[operator]
+    for c in cs:
         cc = c._code
         buf[cc >> 3] |= 1 << (cc & 7)  # type: ignore[operator]
     return int.from_bytes(buf, "little")
@@ -144,15 +167,16 @@ def _extend(t: HFSet, c: HFSet) -> HFSet:
 
     Rank and code are what `_intern_sorted` derives from the members,
     computed from t's: c's bit joins t's code, and the code is None when
-    either is None or c's bit lies past the default bit budget.
+    c's bit lies at 4096 or past it.  Otherwise every member of t is
+    below c, so t's code is narrow too.
     """
     children = t.children + (c,)
     ref = _INTERN.get(children)
     node = None if ref is None else ref()
     if node is None:
-        tc, cc = t._code, c._code
-        code = None if tc is None or cc is None or cc >= DEFAULT_BIT_BUDGET \
-            else tc | 1 << cc
+        cc = c._code
+        code = None if cc is None or cc >= _NARROW_BITS \
+            else t._code | 1 << cc  # type: ignore[operator]
         node = HFSet(children, max(t.rank, c.rank + 1), code)
         ref = _INTERN[children] = _Ref(node, _INTERN_DROP)
         ref.key = children
@@ -162,15 +186,18 @@ def _extend(t: HFSet, c: HFSet) -> HFSet:
 def _struct_less(x: HFSet, y: HFSet) -> bool:
     """Code comparison that never materializes codes.
 
-    Distinct sets compare by rank first, then by which of them owns the
-    largest member on which they disagree (scanning the sorted member
-    tuples from their top ends).
+    A stored code is below 2^4096 and an unstored one is not, so a coded
+    set is smaller than an uncoded one.  Distinct uncoded sets compare by
+    rank first, then by which of them owns the largest member on which
+    they disagree (scanning the sorted member tuples from their top ends).
     """
     if x is y:
         return False
     cx, cy = x._code, y._code
-    if cx is not None and cy is not None:
-        return cx < cy
+    if cx is not None:
+        return cy is None or cx < cy
+    if cy is not None:
+        return False
     if x.rank != y.rank:
         return x.rank < y.rank
     xs, ys = x.children, y.children
@@ -185,17 +212,19 @@ def _struct_less(x: HFSet, y: HFSet) -> bool:
     return j >= 0
 
 
+_STRUCT_KEY = cmp_to_key(
+    lambda a, b: -1 if _struct_less(a, b) else (0 if a is b else 1))
+
+
 def _sort_unique(cs: "list[HFSet]") -> "tuple[HFSet, ...]":
-    if all(c._code is not None for c in cs):
-        cs.sort(key=lambda c: c._code)  # type: ignore[arg-type, return-value]
-    else:
-        cs.sort(key=cmp_to_key(
-            lambda a, b: -1 if _struct_less(a, b) else (0 if a is b else 1)))
-    out: "list[HFSet]" = []
-    for c in cs:
-        if not out or out[-1] is not c:
-            out.append(c)
-    return tuple(out)
+    """cs in code order without repeats: the coded sets by code, then the
+    uncoded ones, whose codes are all larger, by structure."""
+    coded = [c for c in cs if c._code is not None]
+    coded.sort(key=attrgetter("_code"))
+    if len(coded) < len(cs):
+        coded += sorted([c for c in cs if c._code is None], key=_STRUCT_KEY)
+    # equal sets are one object, so dropping repeats keeps the order
+    return tuple(dict.fromkeys(coded))
 
 
 _EMPTY = _intern_sorted(())
@@ -212,16 +241,25 @@ def from_children(children: "Iterable[HFSet]") -> HFSet:
 
 
 def encode(x: HFSet, budget: "int | None" = None) -> int:
-    """Ackermann code of x; raises BudgetExceeded beyond the bit budget."""
+    """Ackermann code of x; raises BudgetExceeded beyond the bit budget.
+
+    A narrow code (at most 4096 bits) is read off x.  A wider one is
+    worked out from x's members on every call and not kept, so x's stored
+    code never changes; past the default bit budget none is worked out.
+    """
     budget = DEFAULT_BIT_BUDGET if budget is None else budget
     code = x._code
-    if code is None:
-        raise BudgetExceeded(
-            "code of this set exceeds the materializable bit budget")
-    if code.bit_length() > budget:
-        raise BudgetExceeded(
-            f"code needs {code.bit_length()} bits, budget is {budget}")
-    return code
+    if code is not None:
+        bits = code.bit_length()
+    else:
+        top = x.children[-1]._code
+        if top is None or top >= DEFAULT_BIT_BUDGET:
+            raise BudgetExceeded(
+                "code of this set exceeds the materializable bit budget")
+        bits = top + 1
+    if bits > budget:
+        raise BudgetExceeded(f"code needs {bits} bits, budget is {budget}")
+    return _wide_code(x) if code is None else code
 
 
 def _bit_positions(n: int) -> "list[int]":
@@ -255,11 +293,17 @@ def decode(n: int, budget: "int | None" = None) -> HFSet:
 
 
 def mem(x: HFSet, y: HFSet) -> bool:
-    """Membership x in y; agrees with bit code(x) of code(y)."""
+    """Membership x in y; agrees with bit code(x) of code(y).
+
+    A y with no stored code is searched in its code-sorted members, so no
+    member set is built and kept for it (level 5's would take 2 MB).
+    """
     cx, cy = x._code, y._code
-    if cx is not None and cy is not None:
-        return (cy >> cx) & 1 == 1
-    return x in y.members
+    if cy is not None:
+        return cx is not None and (cy >> cx) & 1 == 1
+    cs = y.children
+    i = bisect_left(cs, _STRUCT_KEY(x), key=_STRUCT_KEY)
+    return i < len(cs) and cs[i] is x
 
 
 def pair(x: HFSet, y: HFSet) -> HFSet:

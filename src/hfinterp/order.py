@@ -82,6 +82,9 @@ def ack_order(m: int) -> LinearOrder:
     construction order cannot leak into the result; only the key
     determines it.
     """
+    built = _ACK_ORDERS.get(m)
+    if built is not None:
+        return built
     if m < 0:
         raise ValueError("levels are indexed by naturals")
     if m > MAX_MATERIALIZED_LEVEL:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfinterp import core
+from hfinterp import cardinal, core, order
 from hfinterp.errors import BudgetExceeded, FormulaSyntaxError, NotAnOrdinal
 
 
@@ -400,3 +400,127 @@ def test_wide_decode_children_are_the_set_bits(bits, seed):
     assert all(c is core.decode(i) for c, i in zip(x.children, set_bits))
     assert core.encode(x) == n
     assert x is core.from_children([core.decode(i) for i in set_bits])
+
+
+# --- narrow codes stored, wide codes worked out on demand -------------------
+
+NARROW_BITS = 4096
+PAST_BUDGET = "code of this set exceeds the materializable bit budget"
+
+
+def _definition_code(x: core.HFSet) -> int:
+    """The code from the bit definition alone; only for sets of few bits."""
+    return sum(1 << _definition_code(c) for c in x.children)
+
+
+def _code_bits(x: core.HFSet) -> int:
+    """Bits of x's code: one more than its top member's code."""
+    return _definition_code(x.children[-1]) + 1 if x.children else 0
+
+
+def _check_stored_code(s: core.HFSet) -> None:
+    bits = _code_bits(s)
+    assert (s._code is not None) == (bits <= NARROW_BITS)
+    if bits > core.DEFAULT_BIT_BUDGET:
+        with pytest.raises(BudgetExceeded, match=PAST_BUDGET):
+            core.encode(s)
+        assert s._code is None
+        return
+    want = sum(1 << core.encode(c) for c in s.children)
+    assert core.encode(s) == want
+    with pytest.raises(BudgetExceeded,
+                       match=f"code needs {bits} bits, budget is {bits - 1}"):
+        core.encode(s, budget=bits - 1)
+    # encode keeps no wide code: the stored one never changes
+    assert (s._code is not None) == (bits <= NARROW_BITS)
+
+
+def _boundary_sets():
+    for c in (4095, 4096, (1 << 20) - 1, 1 << 20):
+        m = core.decode(c)
+        yield from (m, core.singleton(m), core.pair(core.decode(5), m),
+                    core.pair(core.decode(c - 1), m))
+    positions = [order.ack_enum(i) for i in range(21)]
+    for a in positions:
+        for b in positions:
+            yield cardinal.kpair(a, b)
+    for n in (1 << 4095, (1 << 4096) - 1, 1 << 4096, (1 << 4096) + 1,
+              (1 << 4097) - 1):
+        yield core.decode(n)
+    for n in ((1 << 4095) | 3, (1 << 4096) | 5,
+              (1 << 4096) | (1 << 4095) | 1):
+        p = core.powerset(core.decode(n))
+        yield p
+        yield from p.children
+
+
+def test_a_code_is_stored_exactly_when_it_is_narrow():
+    for s in _boundary_sets():
+        _check_stored_code(s)
+
+
+def _ordering_pool(seed: int) -> "list[core.HFSet]":
+    rng = random.Random(seed)
+    narrow = [core.decode(rng.getrandbits(k) | 1 << (k - 1))
+              for k in (1, 5, 12, 300, 4095, 4096)]
+    wide = [core.decode(rng.getrandbits(k) | 1 << (k - 1))
+            for k in (4097, 4097, 5000, 20000)]
+    top = core.decode(1 << 4096)
+    wide += [core.pair(top, core.decode(5)), core.pair(top, core.decode(6))]
+    edge = core.decode(1 << 20)
+    past = [core.singleton(edge), core.pair(edge, core.decode(7)),
+            core.pair(edge, core.decode(8)), core.pair(wide[0], wide[1]),
+            core.singleton(wide[2]), cardinal.kpair(wide[0], narrow[1]),
+            cardinal.kpair(core.decode(20), core.decode(0))]
+    return narrow + wide + past
+
+
+def _code_or_none(x: core.HFSet) -> "int | None":
+    try:
+        return core.encode(x)
+    except BudgetExceeded:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_struct_less_and_sort_unique_follow_the_codes(seed):
+    pool = _ordering_pool(seed)
+    codes = {x: _code_or_none(x) for x in pool}
+    assert any(c is None for c in codes.values())
+    for a in pool:
+        for b in pool:
+            ca, cb = codes[a], codes[b]
+            if ca is not None and cb is not None:
+                assert core._struct_less(a, b) == (ca < cb)
+            elif ca is not None or cb is not None:
+                assert core._struct_less(a, b) == (ca is not None)
+            assert core._struct_less(a, b) == order.ack_less(a, b)
+    rng = random.Random(seed)
+    for _ in range(8):
+        shuffled = pool + rng.sample(pool, 6)
+        rng.shuffle(shuffled)
+        got = core._sort_unique(shuffled)
+        assert set(got) == set(pool) and len(got) == len(set(pool))
+        known = [codes[x] for x in got if codes[x] is not None]
+        assert known == sorted(set(known))
+        assert got[:len(known)] == tuple(x for x in got
+                                         if codes[x] is not None)
+        assert all(order.ack_less(a, b) for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mem_on_an_uncoded_set_is_the_bit_test(seed):
+    pool = _ordering_pool(seed)
+    rng = random.Random(seed)
+    for y in pool:
+        if y._code is not None:
+            continue
+        cy = _code_or_none(y)
+        near = [core.decode(c + 1) for c in map(_code_or_none, y.children[:3])
+                if c is not None]
+        for x in pool + near + rng.sample(y.children, min(len(y), 40)):
+            cx = _code_or_none(x)
+            if cx is not None and cy is not None:
+                assert core.mem(x, y) == bool(cy >> cx & 1)
+            assert core.mem(x, y) == (x in y.children)
+        assert y._members is None  # searched in order: no member set kept

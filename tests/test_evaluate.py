@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfinterp import cardinal, evaluate, formulas
-from hfinterp.arith import FAST, LITERAL
+from hfinterp import cardinal, core, evaluate, formulas
+from hfinterp.arith import FAST, LITERAL, exp_a, mul_a
 from hfinterp.core import (
     decode,
     encode,
@@ -754,3 +754,31 @@ def test_evaluating_the_corpora_grows_no_module_container():
             _evaluate_everywhere(evaluate, f, env)
     assert _module_containers() == before
 
+
+
+def test_the_literal_routes_build_no_wide_code(monkeypatch):
+    # a Kuratowski pair or function graph of order items at positions
+    # 12-19 has a code of 4-64 KB; the literal route never reads one, so
+    # none is built
+    built = []
+    wide_code = core._wide_code
+
+    def counting(x):
+        built.append(x)
+        return wide_code(x)
+
+    monkeypatch.setattr(core, "_wide_code", counting)
+    assert encode(core.singleton(decode(4096))) == 1 << 4096
+    assert len(built) == 1  # the spy sees a wide code that is asked for
+    built.clear()
+    assert exp_a(decode(2), decode(4), LITERAL) is decode(16)
+    assert mul_a(decode(2), decode(29), LITERAL) is decode(58)
+    f = translate_d(membership_bit_formula())
+    for solver, pairs in ((True, [(0, 59), (4, 51), (3, 63), (4, 31),
+                                  (5, 59), (5, 35), (3, 14), (0, 39)]),
+                          (False, [(3, 3), (2, 6)])):
+        ctx = EvalContext(mode=LITERAL, solver=solver)
+        for cx, cy in pairs:
+            env = {"x": decode(cx), "y": decode(cy)}
+            assert eval_set(f, env, ctx) == ((cy >> cx) & 1 == 1)
+    assert built == []

@@ -126,6 +126,19 @@ def test_every_private_module_level_name_is_read():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_core_reads_stored_codes(path):
+    # `HFSet._code` holds a code only when it is narrow; every other module
+    # asks `encode`, so the invariant lives in one file
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_code")
+        or (isinstance(node, ast.Constant) and node.value == "_code"))
+    assert path.name == "core.py" or not reads, \
+        f"{path.name} reads HFSet._code at lines {reads}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_function_level_imports_only_at_the_cli_edge(path):
     # the CLI imports what each command runs, inside its handler; every
     # other module imports at module level, so its dependencies show

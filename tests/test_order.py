@@ -58,6 +58,22 @@ def test_ack_order_small_stages():
     assert order.ack_order(4).items == tuple(core.decode(i) for i in range(16))
 
 
+def test_a_built_ack_order_is_returned_without_building(monkeypatch):
+    top = order.MAX_MATERIALIZED_LEVEL
+    built = [order.ack_order(m) for m in range(top + 1)]
+
+    def refuse(m, enum_budget=None):
+        raise AssertionError(f"level {m} built again")
+
+    monkeypatch.setattr(order, "materialize_level", refuse)
+    for m, want in enumerate(built):
+        assert order.ack_order(m) is want
+    x = core.decode(1000)
+    assert order.position(x) == 1000
+    assert order.numeral_value(order.numeral(x)) == 1000
+    assert order.successor_a(x) is core.decode(1001)
+
+
 def test_ack_order_end_extension():
     for m in range(1, 5):
         lo, hi = order.ack_order(m), order.ack_order(m + 1)
