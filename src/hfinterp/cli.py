@@ -3,7 +3,8 @@ formulas in either language, and run the verification suites.
 
 Exit codes: 0 success (all cases pass / formula true), 1 a case failed or
 the formula is false, 2 only budget incompletions, 64 syntax or usage
-error, 65 language mismatch, 66 unreadable corpus, 70 internal error.
+error, 65 language mismatch, 66 unreadable corpus, 70 internal error,
+74 stdout closed before the output was written (``hf ... | head``).
 
 Each command imports only the modules it runs, so `encode` and `decode`
 load `core` alone.
@@ -12,8 +13,10 @@ load `core` alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from functools import partial
 
 from .core import FAST, LITERAL, decode, encode, format_set, parse_set_literal
 from .errors import (
@@ -49,34 +52,33 @@ def _at_least(low: int):
 
 
 def _add_context_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nat-cutoff", type=_at_least(0), default=256,
-                   help="range of unbounded arithmetic quantifiers")
-    p.add_argument("--set-cutoff", type=_at_least(0), default=256,
-                   help="code range of unbounded set quantifiers")
-    p.add_argument("--code-budget", type=_at_least(0), default=1 << 20,
-                   help="bit-length cap on computed codes")
-    p.add_argument("--enum-budget", type=_at_least(0), default=1 << 20,
-                   help="cap on enumerated collections")
-    p.add_argument("--literal-cutoff", type=_at_least(0), default=64,
-                   help="operand position cap for literal-mode arithmetic")
-    p.add_argument("--mode", choices=(FAST, LITERAL), default=FAST,
-                   help="route for the order-arithmetic operations")
-    p.add_argument("--no-solver", action="store_true",
-                   help="turn off the quantifier deciders; walk each domain")
+    # each option's dest is an `EvalContext` field, and an option not
+    # given leaves its field at the dataclass default
+    add = partial(p.add_argument, default=argparse.SUPPRESS)
+    add("--nat-cutoff", type=_at_least(0),
+        help="range of unbounded arithmetic quantifiers")
+    add("--set-cutoff", type=_at_least(0),
+        help="code range of unbounded set quantifiers")
+    add("--code-budget", type=_at_least(0),
+        help="bit-length cap on computed codes")
+    add("--enum-budget", type=_at_least(0),
+        help="cap on enumerated collections")
+    add("--literal-cutoff", type=_at_least(0),
+        help="operand position cap for literal-mode arithmetic")
+    add("--mode", choices=(FAST, LITERAL),
+        help="route for the order-arithmetic operations")
+    add("--no-solver", dest="solver", action="store_false",
+        help="turn off the quantifier deciders; walk each domain")
 
 
 def _context(args: argparse.Namespace):
+    from dataclasses import fields
+
     from .evaluate import EvalContext
 
-    return EvalContext(
-        nat_cutoff=args.nat_cutoff,
-        set_cutoff=args.set_cutoff,
-        code_budget=args.code_budget,
-        enum_budget=args.enum_budget,
-        literal_cutoff=args.literal_cutoff,
-        mode=args.mode,
-        solver=not args.no_solver,
-    )
+    given = vars(args)
+    return EvalContext(**{f.name: given[f.name] for f in fields(EvalContext)
+                          if f.name in given})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +261,14 @@ def main(argv: "list[str] | None" = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (`hf ... | head`): point stdout at devnull
+        # so the interpreter's last flush stays quiet; 74 is EX_IOERR
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
     except FormulaSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 64

@@ -85,12 +85,12 @@ context.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
 from . import cardinal, order
-from .arith import add_a, exp_a, mul_a
+from .arith import DEFAULT_LITERAL_CUTOFF, add_a, exp_a, mul_a
 from .core import (
     DEFAULT_BIT_BUDGET,
     DEFAULT_ENUM_BUDGET,
@@ -161,13 +161,9 @@ class EvalContext:
     set_cutoff: int = DEFAULT_CUTOFF     # unbounded set quantifiers
     code_budget: int = DEFAULT_BIT_BUDGET
     enum_budget: int = DEFAULT_ENUM_BUDGET
-    literal_cutoff: int = 64
+    literal_cutoff: int = DEFAULT_LITERAL_CUTOFF
     mode: str = FAST                     # order-arithmetic route
     solver: bool = True                  # the quantifier deciders
-
-    def with_mode(self, mode: str) -> "EvalContext":
-        return replace(self, mode=mode)
-
 
 # ---------------------------------------------------------------------------
 # entry points

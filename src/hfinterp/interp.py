@@ -440,16 +440,15 @@ class InterpMap:
     source: str
     target: str
     on_formula: "Callable[..., object]"
-    on_term: "Callable[..., object] | None" = None
 
     def __call__(self, formula):
         return self.on_formula(formula)
 
 
-MAP_A = InterpMap("a", SET, ARITH, translate_a, translate_a_term)
-MAP_C = InterpMap("c", ARITH, SET, translate_c, translate_c_term)
-MAP_O = InterpMap("o", ARITH, SET, translate_o, None)
-MAP_D = InterpMap("d", ARITH, SET, translate_d, translate_d_term)
+MAP_A = InterpMap("a", SET, ARITH, translate_a)
+MAP_C = InterpMap("c", ARITH, SET, translate_c)
+MAP_O = InterpMap("o", ARITH, SET, translate_o)
+MAP_D = InterpMap("d", ARITH, SET, translate_d)
 
 MAPS = {"a": MAP_A, "c": MAP_C, "o": MAP_O, "d": MAP_D}
 
@@ -460,13 +459,8 @@ def compose(outer: InterpMap, inner: InterpMap) -> InterpMap:
         raise LanguageMismatch(
             f"cannot compose: {inner.name!r} produces {inner.target} "
             f"formulas but {outer.name!r} consumes {outer.source} formulas")
-    on_term = None
-    if inner.on_term is not None and outer.on_term is not None:
-        term_in, term_out = inner.on_term, outer.on_term
-        on_term = lambda t: term_out(term_in(t))  # noqa: E731
     return InterpMap(outer.name + inner.name, inner.source, outer.target,
-                     lambda f: outer.on_formula(inner.on_formula(f)),
-                     on_term)
+                     lambda f: outer.on_formula(inner.on_formula(f)))
 
 
 def get_map(tag: str) -> InterpMap:

@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import HFSet, empty, from_children, materialize_level, mem, tower
+from .core import (HFSet, _bit_positions, empty, from_children,
+                   materialize_level, mem, tower)
 from .errors import BudgetExceeded, NotASubset
 
 #: levels whose member orderings are small enough to sort literally
@@ -170,22 +171,19 @@ def successor_a(x: HFSet) -> HFSet:
     return from_children(keep)
 
 
-# sets past the end of the largest materialized ordering, reached by
-# successor steps; grown on demand and shared between reads
-_ENUM_EXT: "list[HFSet]" = []
-
-
 def ack_enum(i: int) -> HFSet:
-    """The i-th set of the Ackermann ordering (0-based): read off the
-    largest materialized ordering, and past its end reached by successor
-    steps (kept, so a repeated deep read does not redo the chain)."""
+    """The i-th set of the Ackermann ordering (0-based): an item of the
+    largest materialized ordering, and past its end the subset of that
+    ordering whose numeral is i, as `ack_order` builds the next stage, so
+    its members are the items at the set bits of i.  No code is read."""
     items = ack_order(MAX_MATERIALIZED_LEVEL).items
     if i < len(items):
         return items[i]
-    while i - len(items) >= len(_ENUM_EXT):
-        prev = _ENUM_EXT[-1] if _ENUM_EXT else items[-1]
-        _ENUM_EXT.append(successor_a(prev))
-    return _ENUM_EXT[i - len(items)]
+    if i.bit_length() > len(items):
+        raise BudgetExceeded(
+            f"position needs {i.bit_length()} bits, past the ordering of "
+            f"level {MAX_MATERIALIZED_LEVEL + 1}")
+    return from_children(items[p] for p in _bit_positions(i))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Exit code contract: 0 pass/true, 1 fail/false, 2 budget, 64 syntax or
 usage error, 65 language mismatch, 66 unreadable corpus, 70 internal
-error.
+error, 74 stdout closed early.
 """
 
 import json
@@ -482,6 +482,55 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert rc == 70 and out == ""
     assert err.startswith("internal error:\n")
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cardinal", "--format", "json", "--no-timestamp"],
+    ["decode", "65535"],
+    ["encode", "{}"],  # one short line: written only at the final flush
+])
+def test_a_closed_stdout_exits_74_without_a_traceback(argv):
+    # the reader is gone before the command writes, as in `hf ... | head`
+    # once head has exited; stdout is block-buffered, as it is by default
+    r, w = os.pipe()
+    os.close(r)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        p = subprocess.run([sys.executable, "-m", "hfinterp.cli", *argv],
+                           stdout=w, stderr=subprocess.PIPE, text=True,
+                           timeout=120, env=dict(env, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(w)
+    assert p.returncode == 74, p.stderr
+    assert p.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# evaluation options
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [["eval", "--set", "x in y"],
+                                     ["verify", "axioms"]])
+@pytest.mark.parametrize("flags,field", [
+    (["--nat-cutoff", "7"], "nat_cutoff"),
+    (["--set-cutoff", "9"], "set_cutoff"),
+    (["--code-budget", "100"], "code_budget"),
+    (["--enum-budget", "50"], "enum_budget"),
+    (["--literal-cutoff", "3"], "literal_cutoff"),
+    (["--mode", "literal"], "mode"),
+    (["--no-solver"], "solver"),
+])
+def test_each_option_sets_its_context_field_alone(command, flags, field):
+    from dataclasses import fields
+
+    from hfinterp.evaluate import EvalContext
+
+    parse = cli.build_parser().parse_args
+    assert cli._context(parse(command)) == EvalContext()
+    ctx, default = cli._context(parse(command + flags)), EvalContext()
+    differ = [f.name for f in fields(EvalContext)
+              if getattr(ctx, f.name) != getattr(default, f.name)]
+    assert differ == [field]
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_cardinal_op_codes_match_construction():
 
 
 def test_order_arithmetic_routes_agree_under_eval():
-    lit = CTX.with_mode(LITERAL)
+    lit = replace(CTX, mode=LITERAL)
     for a in range(8):
         for b in range(8):
             env = {"x": decode(a), "y": decode(b)}
@@ -521,7 +521,7 @@ def test_order_chain_solver_reaches_infeasible_walks():
 
 
 def test_order_chain_literal_mode_verifies_with_literal_ops():
-    lit = CTX.with_mode(LITERAL)
+    lit = replace(CTX, mode=LITERAL)
     f = parse_set("exists u <a #10. exists v <a #6. x = u *a #6 +a v")
     for n in range(40):
         want = eval_set(f, {"x": decode(n)}, CTX)
@@ -533,7 +533,7 @@ def test_order_chain_literal_mode_verifies_with_literal_ops():
 
 
 def test_mode_switch_is_visible_on_context():
-    lit = CTX.with_mode(LITERAL)
+    lit = replace(CTX, mode=LITERAL)
     assert lit.mode == LITERAL and CTX.mode == "fast"
     big = decode(100)
     with pytest.raises(BudgetExceeded):
@@ -626,7 +626,7 @@ def test_memoized_term_is_evaluated_only_when_the_walk_reaches_it(
     parse, term = (parse_arith, eval_arith_term) if evaluate is eval_arith \
         else (parse_set, eval_set_term)
     f = parse(text)
-    for ctx in (tight, tight.with_mode(LITERAL),
+    for ctx in (tight, replace(tight, mode=LITERAL),
                 replace(tight, solver=False)):
         assert evaluate(f, env, ctx)
     costly = [t for t in _nodes(f) if _memoized(t)]

@@ -163,7 +163,6 @@ GROWING = {
     # unbounded, ROADMAP B
     ("core", "_VN_CHAIN"),
     ("order", "_MEMBER_CMP"),
-    ("order", "_ENUM_EXT"),
     # <= 2 x the largest literal_cutoff pairs
     ("arith", "_TAGGED_READ"),
 }

@@ -604,19 +604,6 @@ def test_compose_checks_languages():
     assert get_map("a") is MAP_A
 
 
-def test_composed_term_maps_chain():
-    da = get_map("da")
-    assert da.on_term is not None
-    src = parse_set_term("pair(x, 0e)")
-    ctx = EvalContext()
-    env = {"x": decode(2)}
-    assert eval_set_term(da.on_term(src), env, ctx) \
-        is eval_set_term(src, env, ctx)
-    # the ordinal map publishes no term translation, so neither does a
-    # composition through it
-    assert get_map("ao").on_term is None
-
-
 def _nest(leaf, wrap, levels=800):
     t = leaf
     for _ in range(levels):

@@ -185,6 +185,45 @@ def test_ack_enum():
     assert [core.encode(z) for z in read] == list(range(65530, 65540))
 
 
+# --- ack_enum past the materialized order: the numeral read ----------------
+
+#: positions just below 2^65536, the end of level 6's ordering
+_TOP = ((1 << 65536) - 3, (1 << 65536) - 2)
+
+
+def test_ack_enum_reads_the_set_at_its_numeral():
+    rng = random.Random(2323)
+    for i in itertools.chain(range(65530, 70001),
+                             (rng.randrange(1 << 20) for _ in range(2000))):
+        assert order.ack_enum(i) is core.decode(i)
+    for i in _TOP:
+        assert core.encode(order.ack_enum(i), budget=1 << 17) == i
+
+
+def test_ack_enum_agrees_with_the_carry_rule():
+    # successor_a steps by the carry rule, a second route with no codes
+    rng = random.Random(2324)
+    points = itertools.chain(range(65530, 70001),
+                             (rng.randrange(1 << 20) for _ in range(2000)),
+                             _TOP)
+    for i in points:
+        assert order.successor_a(order.ack_enum(i)) is order.ack_enum(i + 1)
+
+
+def test_ack_enum_walks_no_successor_steps(monkeypatch):
+    def refuse(x):
+        raise AssertionError("ack_enum took a successor step")
+
+    monkeypatch.setattr(order, "successor_a", refuse)
+    assert order.ack_enum(1 << 20) is core.decode(1 << 20)
+
+
+def test_ack_enum_past_level_6_is_a_budget_refusal():
+    with pytest.raises(BudgetExceeded) as e:
+        order.ack_enum(1 << 65536)
+    assert len(str(e.value)) < 200
+
+
 def test_numeral_example():
     num = order.numeral(core.decode(6))
     assert num.bits == (0, 1, 1, 0, 0, 0, 0)
